@@ -2,13 +2,13 @@
 //!
 //! Drives a fleet of pipelined raw loopback connections sending
 //! stats-class requests at the server and compares the sustained
-//! throughput to the single-client ping-pong baseline (one shard, one
-//! dispatcher, no batching — functionally the pre-sharding server). The
-//! ratio is the payoff of dispatcher multiplexing + per-shard batch
-//! draining + shared pre-encoded response frames. The same driver backs
-//! the CI gate in `tests/saturation_gate.rs`; this bench is the
-//! measurement run, writing `saturation.json` to the canonical bench
-//! report directory for the trend line.
+//! throughput to the single-client ping-pong baseline (one shard, no
+//! batching — functionally the pre-sharding server). The ratio is the
+//! payoff of pipelined connections + per-shard batch draining + shared
+//! pre-encoded response frames. The same driver backs the CI gate in
+//! `tests/saturation_gate.rs`; this bench is the measurement run,
+//! writing `saturation.json` to the canonical bench report directory for
+//! the trend line.
 
 use bench::serveload::{run_saturation, to_json};
 

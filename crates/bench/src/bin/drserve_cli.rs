@@ -73,7 +73,6 @@ fn config_from(args: &[String]) -> ServeConfig {
         cache_capacity: parsed_flag(args, "--cache", 256),
         // 0 = auto-size to the machine (one shard per CPU, capped).
         shards: parsed_flag(args, "--shards", 0),
-        dispatchers: parsed_flag(args, "--dispatchers", 0),
         queue_capacity: parsed_flag(args, "--queue", 512),
         batch_max: parsed_flag(args, "--batch", 32),
         cluster: args.iter().any(|a| a == "--cluster"),
@@ -377,7 +376,7 @@ fn main() {
         _ => {
             eprintln!(
                 "usage: drserve_cli serve [--addr <host:port>] [--max-sessions <n>] [--cache <n>]\n\
-                 \x20                     [--shards <n>] [--dispatchers <n>] [--queue <n>] [--batch <n>]\n\
+                 \x20                     [--shards <n>] [--queue <n>] [--batch <n>]\n\
                  \x20                     [--peers <addr,...>] [--advertise <host:port>] [--cluster]\n\
                  \x20      drserve_cli client [--addr <host:port>] [--iters <n>]\n\
                  \x20      drserve_cli client stats [--addr <host:port>]\n\

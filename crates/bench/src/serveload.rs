@@ -3,7 +3,7 @@
 //! The question this answers: how many *stats-class* requests per second
 //! does the server sustain when a fleet of connections keeps it saturated,
 //! versus the single-client ping-pong number the `serve` bench reports?
-//! The sharded server's whole design — dispatcher multiplexing, per-shard
+//! The sharded server's whole design — pipelined connections, per-shard
 //! queues, batch draining, shared pre-encoded `Stats` frames — exists for
 //! this ratio, so both the `saturation` bench and the CI gate
 //! (`tests/saturation_gate.rs`) run the same driver from this module.
@@ -46,21 +46,20 @@ pub struct SaturationReport {
     pub stats: ServeStats,
 }
 
-/// Serving config for the baseline measurement: one shard, one
-/// dispatcher, no batching — the pre-sharding server, functionally.
+/// Serving config for the baseline measurement: one shard, no batching —
+/// the pre-sharding server, functionally.
 pub fn baseline_config() -> ServeConfig {
     ServeConfig {
         shards: 1,
-        dispatchers: 1,
         batch_max: 1,
         ..ServeConfig::default()
     }
 }
 
-/// Serving config for the saturated fleet: machine-sized shards and
-/// dispatchers, full batching, and a queue deep enough that the fleet's
-/// entire in-flight volume is admitted (the gate asserts zero shed — the
-/// speedup must come from batching, not from refusing work).
+/// Serving config for the saturated fleet: machine-sized shards, full
+/// batching, and a queue deep enough that the fleet's entire in-flight
+/// volume is admitted (the gate asserts zero shed — the speedup must come
+/// from batching, not from refusing work).
 pub fn fleet_config(connections: usize, pipeline_depth: usize) -> ServeConfig {
     ServeConfig {
         queue_capacity: (4 * connections * pipeline_depth).max(1024),
@@ -73,7 +72,7 @@ pub fn fleet_config(connections: usize, pipeline_depth: usize) -> ServeConfig {
 /// per second.
 pub fn baseline_stats_rps(server: &Server, samples: usize) -> f64 {
     let mut client = server.loopback_client();
-    // Warm the dispatcher and the metrics path before sampling.
+    // Warm the connection and the metrics path before sampling.
     for _ in 0..16 {
         client.stats().expect("baseline stats");
     }
@@ -94,7 +93,7 @@ pub fn baseline_stats_rps(server: &Server, samples: usize) -> f64 {
 /// throughput and latency distribution.
 ///
 /// Each round writes one burst of `pipeline_depth` pre-encoded `Stats`
-/// frames per connection — a single `write_all`, so the dispatcher's read
+/// frames per connection — a single `write_all`, so the connection's read
 /// loop sees the whole burst at once and the shard drains it as a batch —
 /// then reads every reply back, sampling write-to-drained latency per
 /// connection window.
@@ -113,7 +112,7 @@ pub fn run_fleet(
     proto::write_message(&mut frame, REQUEST_KIND, &Request::Stats).expect("encode stats");
     let burst: Vec<u8> = frame.repeat(pipeline_depth);
 
-    // Warm-up round: populate caches, spin the dispatchers up — and fully
+    // Warm-up round: populate caches, start the connections — and fully
     // decode every reply once, proving the server answers the burst with
     // real `Stats` responses before the measured rounds stop looking.
     let wrote: Vec<Instant> = conns

@@ -392,15 +392,20 @@ impl RelogCache {
     /// `cached` flag. Concurrent callers for the same key block until the
     /// one build finishes; the outer map lock is never held across a
     /// build.
-    pub fn get_or_build<F>(
+    ///
+    /// # Errors
+    ///
+    /// Returns the build's error. A failed build caches nothing: its
+    /// entry is removed, and the next caller for the key builds afresh.
+    pub fn get_or_build<F, E>(
         &self,
         digest: PinballDigest,
         criterion: Criterion,
         options_fingerprint: u64,
         build: F,
-    ) -> (Arc<RelogOutcome>, bool)
+    ) -> Result<(Arc<RelogOutcome>, bool), E>
     where
-        F: FnOnce() -> Arc<RelogOutcome>,
+        F: FnOnce() -> Result<Arc<RelogOutcome>, E>,
     {
         let key = RelogKey {
             digest,
@@ -445,12 +450,25 @@ impl RelogCache {
         };
         let mut guard = slot.lock().expect("relog slot lock");
         if let Some(outcome) = guard.as_ref() {
-            return (Arc::clone(outcome), true);
+            return Ok((Arc::clone(outcome), true));
         }
-        let outcome = build();
+        let built = build();
+        let mut inner = self.inner.lock().expect("relog cache lock");
+        let outcome = match built {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                if inner
+                    .map
+                    .get(&key)
+                    .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
+                {
+                    inner.map.remove(&key);
+                }
+                return Err(e);
+            }
+        };
         *guard = Some(Arc::clone(&outcome));
         let bytes = outcome.bytes;
-        let mut inner = self.inner.lock().expect("relog cache lock");
         if let Some(entry) = inner.map.get_mut(&key) {
             // The entry may have been evicted while the build ran; only a
             // still-resident entry contributes to the byte count.
@@ -458,7 +476,7 @@ impl RelogCache {
             entry.bytes = bytes;
             inner.bytes += delta;
         }
-        (outcome, false)
+        Ok((outcome, false))
     }
 
     /// Looks up an outcome without installing a build slot, counting a
@@ -708,12 +726,12 @@ mod tests {
         assert_eq!(s.bytes, index.approx_bytes(), "evicted bytes freed");
     }
 
-    fn outcome(tag: u64) -> Arc<RelogOutcome> {
-        Arc::new(RelogOutcome {
+    fn outcome(tag: u64) -> Result<Arc<RelogOutcome>, ()> {
+        Ok(Arc::new(RelogOutcome {
             digest: PinballDigest(tag),
             report: drdebug::RelogReport::default(),
             bytes: 100,
-        })
+        }))
     }
 
     #[test]
@@ -728,11 +746,13 @@ mod tests {
                 let cache = &cache;
                 let builds = &builds;
                 scope.spawn(move || {
-                    let (got, _cached) = cache.get_or_build(D, c, 0, || {
-                        builds.fetch_add(1, Ordering::SeqCst);
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        outcome(0xabc)
-                    });
+                    let (got, _cached) = cache
+                        .get_or_build(D, c, 0, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            outcome(0xabc)
+                        })
+                        .unwrap();
                     assert_eq!(got.digest, PinballDigest(0xabc));
                 });
             }
@@ -741,7 +761,7 @@ mod tests {
         let s = cache.stats();
         assert_eq!((s.misses, s.hits, s.entries, s.bytes), (1, 7, 1, 100));
         // The builder's own call reports uncached; a later call is cached.
-        let (_, cached) = cache.get_or_build(D, c, 0, || outcome(0xabc));
+        let (_, cached) = cache.get_or_build(D, c, 0, || outcome(0xabc)).unwrap();
         assert!(cached, "repeat relog is served from the cache");
     }
 
@@ -750,15 +770,25 @@ mod tests {
         let cache = RelogCache::new(8);
         let a = Criterion::Record { id: 1 };
         let b = Criterion::Record { id: 2 };
-        let (_, cached) = cache.get_or_build(D, a, 0, || outcome(1));
+        let (_, cached) = cache.get_or_build(D, a, 0, || outcome(1)).unwrap();
         assert!(!cached, "cold key builds");
-        let (_, cached) = cache.get_or_build(D, b, 0, || outcome(2));
+        let (_, cached) = cache.get_or_build(D, b, 0, || outcome(2)).unwrap();
         assert!(!cached, "different criterion is a different slice pinball");
-        let (_, cached) = cache.get_or_build(D, a, 9, || outcome(3));
+        let (_, cached) = cache.get_or_build(D, a, 9, || outcome(3)).unwrap();
         assert!(!cached, "different options relog differently");
-        let (got, cached) = cache.get_or_build(D, a, 0, || outcome(4));
+        let (got, cached) = cache.get_or_build(D, a, 0, || outcome(4)).unwrap();
         assert!(cached);
         assert_eq!(got.digest, PinballDigest(1), "original outcome retained");
         assert_eq!(cache.stats().misses, 3);
+    }
+
+    #[test]
+    fn relog_cache_failed_build_caches_nothing() {
+        let cache = RelogCache::new(4);
+        let c = Criterion::Record { id: 1 };
+        assert!(cache.get_or_build(D, c, 0, || Err::<_, ()>(())).is_err());
+        assert_eq!(cache.stats().entries, 0, "no empty slot left behind");
+        let (_, cached) = cache.get_or_build(D, c, 0, || outcome(5)).unwrap();
+        assert!(!cached, "the next caller builds afresh");
     }
 }

@@ -38,12 +38,12 @@
 //!   Malformed input yields a typed error or a clean disconnect, never a
 //!   panic.
 //!
-//! Transports are interchangeable: nonblocking TCP ([`Server::listen`]
-//! / [`connect`]) and an in-process loopback pipe
-//! ([`Server::loopback_client`]) are multiplexed onto the same
-//! dispatcher threads, so tests and benchmarks exercise the real
-//! framing, routing, and admission path without sockets. Clients may
-//! pipeline: replies always arrive in request order.
+//! Transports are interchangeable: TCP ([`Server::listen`] /
+//! [`connect`]) and an in-process loopback pipe
+//! ([`Server::loopback_client`]) run the same blocking connection loop —
+//! a reader and a writer thread per connection — so tests and benchmarks
+//! exercise the real framing, routing, and admission path without
+//! sockets. Clients may pipeline: replies always arrive in request order.
 //!
 //! ```
 //! use drserve::{Server, ServeConfig, SliceAt};

@@ -3,14 +3,15 @@
 //! [`pipe`] returns two [`LoopbackStream`]s wired head-to-tail: bytes
 //! written to one are read from the other, with blocking reads and
 //! EOF-on-drop semantics — exactly the contract `TcpStream` gives the
-//! protocol layer, minus the socket. Tests and benchmarks drive a real
-//! server through the real framing without touching the network, and the
-//! server code cannot tell the difference (both transports are just
-//! `Read + Write`).
+//! protocol layer, minus the socket. Like `TcpStream`, a shared
+//! `&LoopbackStream` is both a reader and a writer, so one thread can
+//! block reading while another writes, and [`LoopbackStream::shutdown`]
+//! closes the pipe under both. Tests and benchmarks drive a real server
+//! through the real framing without touching the network, and the server
+//! code cannot tell the difference.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One direction of the pipe: a bounded-ish byte queue plus liveness.
@@ -53,7 +54,6 @@ impl Half {
 pub struct LoopbackStream {
     rx: Arc<Half>,
     tx: Arc<Half>,
-    nonblocking: AtomicBool,
 }
 
 /// Creates a connected pair of in-process streams.
@@ -64,29 +64,23 @@ pub fn pipe() -> (LoopbackStream, LoopbackStream) {
         LoopbackStream {
             rx: Arc::clone(&a),
             tx: Arc::clone(&b),
-            nonblocking: AtomicBool::new(false),
         },
-        LoopbackStream {
-            rx: b,
-            tx: a,
-            nonblocking: AtomicBool::new(false),
-        },
+        LoopbackStream { rx: b, tx: a },
     )
 }
 
 impl LoopbackStream {
-    /// Switches this endpoint between blocking and nonblocking reads,
-    /// mirroring [`std::net::TcpStream::set_nonblocking`]. In nonblocking
-    /// mode a read with no buffered bytes returns
-    /// [`io::ErrorKind::WouldBlock`] instead of parking on the condvar;
-    /// writes never block in either mode.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        self.nonblocking.store(nonblocking, Ordering::Relaxed);
-        Ok(())
+    /// Closes both directions now, as `TcpStream::shutdown(Both)` does:
+    /// blocked reads on either end drain what is buffered and then see
+    /// EOF, and later writes on either end fail. Dropping the endpoint
+    /// does the same.
+    pub fn shutdown(&self) {
+        self.tx.close();
+        self.rx.close();
     }
 }
 
-impl Read for LoopbackStream {
+impl Read for &LoopbackStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
@@ -110,18 +104,12 @@ impl Read for LoopbackStream {
             if state.closed {
                 return Ok(0); // EOF
             }
-            if self.nonblocking.load(Ordering::Relaxed) {
-                return Err(io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    "loopback read would block",
-                ));
-            }
             state = self.rx.readable.wait(state).expect("pipe lock");
         }
     }
 }
 
-impl Write for LoopbackStream {
+impl Write for &LoopbackStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let mut state = self.tx.state.lock().expect("pipe lock");
         if state.closed {
@@ -140,11 +128,26 @@ impl Write for LoopbackStream {
     }
 }
 
+impl Read for LoopbackStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self).read(buf)
+    }
+}
+
+impl Write for LoopbackStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        (&*self).write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
 impl Drop for LoopbackStream {
     fn drop(&mut self) {
         // Wake the peer's blocked read (EOF) and fail its future writes.
-        self.tx.close();
-        self.rx.close();
+        self.shutdown();
     }
 }
 
@@ -189,18 +192,25 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_read_returns_would_block() {
-        let (mut a, mut b) = pipe();
-        b.set_nonblocking(true).unwrap();
-        let mut buf = [0u8; 4];
-        let err = b.read(&mut buf).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-        a.write_all(b"data").unwrap();
-        assert_eq!(b.read(&mut buf).unwrap(), 4);
-        assert_eq!(&buf, b"data");
-        drop(a);
-        // EOF still wins over WouldBlock once the peer hangs up.
-        assert_eq!(b.read(&mut buf).unwrap(), 0);
+    fn shutdown_wakes_a_reader_sharing_the_endpoint() {
+        let (mut a, b) = pipe();
+        thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let mut buf = Vec::new();
+                (&b).read_to_end(&mut buf).unwrap();
+                buf
+            });
+            // The same endpoint writes while another thread blocks on it.
+            (&b).write_all(b"tail").unwrap();
+            a.write_all(b"tail").unwrap();
+            thread::sleep(std::time::Duration::from_millis(20));
+            b.shutdown();
+            assert_eq!(reader.join().unwrap(), b"tail");
+        });
+        let mut got = Vec::new();
+        a.read_to_end(&mut got).unwrap();
+        assert_eq!(got, b"tail", "the peer drains, then sees EOF");
+        assert!(a.write_all(b"x").is_err(), "and its writes fail");
     }
 
     #[test]

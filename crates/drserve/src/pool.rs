@@ -61,7 +61,7 @@ impl SessionManager {
     ///
     /// A sharded server gives shard `s` of `n` the sequence starting at
     /// `n + s` with stride `n`, so every id this pool hands out satisfies
-    /// `id % n == s` — the dispatcher can route a session-scoped request
+    /// `id % n == s` — the service can route a session-scoped request
     /// to the owning shard from the id alone, with no shared lookup table.
     pub fn with_ids(
         max_sessions: usize,

@@ -852,8 +852,8 @@ pub struct ShardStats {
     /// Requests this shard answered with [`Response::Error`].
     pub errors: u64,
     /// Requests load-shed at admission with [`ServeError::Busy`] because
-    /// this shard's queue was at capacity. Shed requests are rejected by
-    /// the dispatcher and never enter the queue; they are counted in
+    /// this shard's queue was at capacity. Shed requests are rejected at
+    /// submit time and never enter the queue; they are counted in
     /// `requests`/`errors` too.
     pub shed: u64,
     /// Queue depth (admitted, not yet completed) at snapshot time.
@@ -1143,8 +1143,8 @@ pub fn read_message<R: Read + ?Sized, T: serde::Deserialize>(
 
 /// How far one frame extends into `buf`, without decoding its payload.
 ///
-/// The nonblocking dispatcher accumulates bytes from a socket and needs to
-/// know when a whole frame has arrived. Returns `Ok(None)` while `buf`
+/// A connection's reader accumulates bytes from a stream and needs to know
+/// when a whole frame has arrived. Returns `Ok(None)` while `buf`
 /// holds only a prefix (read more and retry), `Ok(Some(total))` when
 /// `buf[..total]` is exactly one frame, and [`RecvError::Frame`] when the
 /// header is already provably invalid (wrong kind byte, varint overflow,

@@ -1,34 +1,33 @@
-//! The drserve front end: nonblocking transports over the sharded
+//! The drserve front end: blocking transports over the sharded
 //! [`Service`].
 //!
 //! The server is two layers. The [`Service`] (in [`crate::service`]) is
 //! the whole protocol — sharded workers, admission control, batching — and
-//! never touches a socket. This module is the I/O in front of it: a
-//! nonblocking accept loop hands connections to a small pool of
-//! *dispatcher* threads, each multiplexing many connections: it reads
+//! never touches a socket. This module is the I/O in front of it: one
+//! blocking connection loop. Each connection gets a reader, which reads
 //! whatever bytes arrived, carves complete request frames out with
-//! [`proto::frame_extent`], submits them to the service (which routes each
-//! to its shard), and writes replies back in request order as the shards
-//! finish — so one slow slice on a connection never parks a thread, and a
-//! pipelined client can have many requests in flight.
+//! [`proto::try_decode`] and submits them to the service (which routes
+//! each to its shard), and a writer, which takes the reply slots in
+//! request order and writes each reply as its shard finishes. A pipelined
+//! client can have many requests in flight; replies still arrive in
+//! order.
 //!
-//! Both transports — TCP ([`Server::listen`] / [`connect`]) and the
-//! in-process loopback pipe ([`Server::loopback_client`] /
-//! [`Server::loopback_connect`]) — feed the same dispatchers through the
-//! `NonblockStream` trait, so tests and benchmarks exercise the real
-//! multiplexing without sockets. [`Server::serve_stream`] remains a
-//! blocking one-connection loop over the same service for callers that
-//! bring their own thread.
+//! TCP ([`Server::listen`] / [`connect`]), the in-process loopback pipe
+//! ([`Server::loopback_client`] / [`Server::loopback_connect`]) and
+//! caller-owned streams ([`Server::serve_stream`]) all run that same loop,
+//! so tests and benchmarks drive the production path without sockets.
+//! The thread budget is two threads per connection; a connection the OS
+//! refuses a thread for gets one typed [`ServeError::Busy`] and is closed.
 
-use std::collections::VecDeque;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::client::Client;
 use crate::loopback::{pipe, LoopbackStream};
@@ -61,9 +60,6 @@ pub struct ServeConfig {
     /// Worker shards, each with its own session pool, caches, and metrics.
     /// `0` (the default) sizes to the machine: one per CPU, capped at 8.
     pub shards: usize,
-    /// Dispatcher threads multiplexing connection I/O. `0` (the default)
-    /// sizes to the machine.
-    pub dispatchers: usize,
     /// Per-shard queue bound: admitted-but-unfinished requests beyond this
     /// are load-shed with [`ServeError::Busy`] instead of queueing.
     pub queue_capacity: usize,
@@ -109,7 +105,6 @@ impl Default for ServeConfig {
             relog_cache_capacity: 32,
             retry_after_ms: 50,
             shards: 0,
-            dispatchers: 0,
             queue_capacity: 512,
             batch_max: 32,
             peers: Vec::new(),
@@ -124,310 +119,252 @@ impl Default for ServeConfig {
     }
 }
 
-/// A byte stream the dispatcher can poll without blocking. Both real
-/// sockets and the in-process loopback pipe qualify.
-trait NonblockStream: Read + Write + Send {
-    /// Switches the stream between blocking and nonblocking reads.
-    fn set_nonblocking_mode(&self, nonblocking: bool) -> io::Result<()>;
-}
-
-impl NonblockStream for TcpStream {
-    fn set_nonblocking_mode(&self, nonblocking: bool) -> io::Result<()> {
-        TcpStream::set_nonblocking(self, nonblocking)
+/// Serves one connection until the peer hangs up, the stream fails, or a
+/// malformed frame forces a close: the calling thread reads and submits,
+/// a second thread writes the replies in request order. Frame errors are
+/// answered with [`ServeError::Malformed`] after every earlier reply,
+/// then the connection ends, because framing may be out of sync.
+fn serve_conn<R: Read, W: Write + Send>(service: &Service, mut reader: R, mut writer: W) {
+    let (tx, rx) = unbounded();
+    let served = thread::scope(|scope| {
+        let out = &mut writer;
+        let spawned = thread::Builder::new()
+            .name("drserve-writer".to_string())
+            .spawn_scoped(scope, move || write_replies(out, &rx));
+        if spawned.is_ok() {
+            // Consumes the sender: the writer ends once it has drained.
+            read_requests(service, &mut reader, tx);
+        }
+        spawned.is_ok()
+    });
+    if !served {
+        refuse(service, &mut writer);
     }
 }
 
-impl NonblockStream for LoopbackStream {
-    fn set_nonblocking_mode(&self, nonblocking: bool) -> io::Result<()> {
-        LoopbackStream::set_nonblocking(self, nonblocking)
-    }
-}
-
-/// A reply slot in a connection's in-order response queue.
-// One slot per pipelined request; boxing the ready response to shrink
-// the enum would cost an allocation on the shed/malformed path.
-#[allow(clippy::large_enum_variant)]
-enum Pending {
-    /// Answered at submit time (admission shed, malformed frame).
-    Ready(Response),
-    /// In flight on a worker shard.
-    Wait(Receiver<Reply>),
-}
-
-/// One multiplexed connection: buffered reads, buffered writes, and the
-/// in-order queue of outstanding replies. Replies are written strictly in
-/// request order even though shards finish out of order.
-struct Conn {
-    stream: Box<dyn NonblockStream>,
-    rd: Vec<u8>,
-    wr: Vec<u8>,
-    /// Bytes of `wr` already flushed to the stream.
-    wr_at: usize,
-    pending: VecDeque<Pending>,
-    /// Stop reading (peer EOF or framing desync); drop the connection once
-    /// every pending reply has been written out.
-    closing: bool,
-}
-
-impl Conn {
-    fn new(stream: Box<dyn NonblockStream>) -> Conn {
-        Conn {
-            stream,
-            rd: Vec::new(),
-            wr: Vec::new(),
-            wr_at: 0,
-            pending: VecDeque::new(),
-            closing: false,
-        }
-    }
-
-    /// One poll round: harvest finished replies, flush, read, decode,
-    /// submit. Returns `false` when the connection should be dropped;
-    /// sets `progress` when any byte or reply moved.
-    fn poll(&mut self, service: &Service, scratch: &mut [u8], progress: &mut bool) -> bool {
-        // Move completed replies — strictly from the front, preserving
-        // request order — into the write buffer.
-        loop {
-            match self.pending.front_mut() {
-                Some(Pending::Ready(_)) => {
-                    let Some(Pending::Ready(response)) = self.pending.pop_front() else {
-                        unreachable!("front was Ready");
-                    };
-                    let _ = proto::write_message(&mut self.wr, RESPONSE_KIND, &response);
-                    *progress = true;
-                }
-                Some(Pending::Wait(rx)) => match rx.try_recv() {
-                    Ok(Reply::Response(response)) => {
-                        self.pending.pop_front();
-                        let _ = proto::write_message(&mut self.wr, RESPONSE_KIND, &response);
-                        *progress = true;
-                    }
-                    Ok(Reply::Frame(frame)) => {
-                        self.pending.pop_front();
-                        self.wr.extend_from_slice(&frame);
-                        *progress = true;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    // Worker gone mid-request: service shutdown.
-                    Err(TryRecvError::Disconnected) => return false,
-                },
-                None => break,
+/// The reader half: buffered reads (one syscall per burst), every
+/// complete frame submitted as soon as it is carved out.
+fn read_requests<R: Read>(service: &Service, reader: &mut R, replies: Sender<Receiver<Reply>>) {
+    let mut buf = Vec::new();
+    let mut scratch = vec![0u8; 64 * 1024];
+    loop {
+        let n = match reader.read(&mut scratch) {
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return,
+        };
+        if n == 0 {
+            // EOF: in-flight replies still go out; a partial frame left
+            // behind is a truncated one.
+            if !buf.is_empty() {
+                malformed(service, &replies, "frame truncated".to_string());
             }
+            return;
         }
-        // Flush as much of the write buffer as the stream accepts.
-        while self.wr_at < self.wr.len() {
-            match self.stream.write(&self.wr[self.wr_at..]) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    self.wr_at += n;
-                    *progress = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        if self.wr_at == self.wr.len() && self.wr_at > 0 {
-            self.wr.clear();
-            self.wr_at = 0;
-        }
-        if self.closing {
-            // Linger only until every reply is out.
-            return !(self.pending.is_empty() && self.wr.is_empty());
-        }
-        // Read whatever arrived.
-        loop {
-            match self.stream.read(scratch) {
-                // EOF: answer what is already in flight, then drop.
-                Ok(0) => {
-                    self.closing = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.rd.extend_from_slice(&scratch[..n]);
-                    *progress = true;
-                    if n < scratch.len() {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        // Carve out and submit every complete frame — a pipelining client
-        // gets all of them in flight across the shards at once.
+        buf.extend_from_slice(&scratch[..n]);
         let mut consumed = 0;
         loop {
-            match proto::try_decode::<Request>(&self.rd[consumed..], REQUEST_KIND) {
+            match proto::try_decode::<Request>(&buf[consumed..], REQUEST_KIND) {
                 Ok(None) => break,
                 Ok(Some((request, used))) => {
                     consumed += used;
-                    *progress = true;
-                    match service.submit(request, true) {
-                        Ok(rx) => self.pending.push_back(Pending::Wait(rx)),
+                    let slot = match service.submit(request, true) {
+                        Ok(rx) => rx,
                         // Shed at admission: the typed Busy goes out in
                         // order like any other reply.
-                        Err(e) => self.pending.push_back(Pending::Ready(Response::Error(e))),
+                        Err(e) => answered(Response::Error(e)),
+                    };
+                    if replies.send(slot).is_err() {
+                        return; // the writer failed
                     }
                 }
                 Err(RecvError::Frame { reason }) | Err(RecvError::Io(reason)) => {
-                    // Framing is out of sync: answer, flush, disconnect.
-                    service.observe_malformed();
-                    self.pending.push_back(Pending::Ready(Response::Error(
-                        ServeError::Malformed { reason },
-                    )));
-                    self.closing = true;
-                    self.rd.clear();
-                    consumed = 0;
-                    *progress = true;
-                    break;
+                    malformed(service, &replies, reason);
+                    return;
                 }
-                Err(RecvError::Disconnected) => {
-                    self.closing = true;
+                Err(RecvError::Disconnected) => return,
+            }
+        }
+        buf.drain(..consumed);
+    }
+}
+
+fn malformed(service: &Service, replies: &Sender<Receiver<Reply>>, reason: String) {
+    service.observe_malformed();
+    let _ = replies.send(answered(Response::Error(ServeError::Malformed { reason })));
+}
+
+/// A reply slot that already holds its answer (admission shed, malformed
+/// frame), queued in order behind the requests still in flight.
+fn answered(response: Response) -> Receiver<Reply> {
+    let (tx, rx) = bounded(1);
+    let _ = tx.send(Reply::Response(response));
+    rx
+}
+
+/// The writer half: waits on the reply slots in request order, so one
+/// slow slice holds back only the replies queued behind it. Each write
+/// carries every later reply that has already finished too, so a
+/// pipelined burst goes out in one write rather than one per reply.
+fn write_replies<W: Write>(out: &mut W, replies: &Receiver<Receiver<Reply>>) {
+    let mut waiting = None;
+    loop {
+        let Some(slot) = waiting.take().or_else(|| replies.recv().ok()) else {
+            return; // the reader is done and every reply is out
+        };
+        let mut buf = Vec::new();
+        encode(&mut buf, slot.recv().unwrap_or_else(|_| lost()));
+        while let Ok(slot) = replies.try_recv() {
+            match slot.try_recv() {
+                Ok(reply) => encode(&mut buf, reply),
+                Err(_) => {
+                    waiting = Some(slot);
                     break;
                 }
             }
         }
-        if consumed > 0 {
-            self.rd.drain(..consumed);
-        }
-        true
-    }
-}
-
-/// The dispatcher pool: D threads, each polling its own set of
-/// connections. New connections are dealt round-robin.
-struct DispatchPool {
-    txs: Vec<Sender<Box<dyn NonblockStream>>>,
-    rr: AtomicUsize,
-    stop: Arc<AtomicBool>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl DispatchPool {
-    fn new(service: Service, dispatchers: usize) -> DispatchPool {
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut txs = Vec::with_capacity(dispatchers);
-        let mut threads = Vec::with_capacity(dispatchers);
-        for _ in 0..dispatchers {
-            let (tx, rx) = unbounded::<Box<dyn NonblockStream>>();
-            txs.push(tx);
-            let service = service.clone();
-            let stop = Arc::clone(&stop);
-            threads.push(thread::spawn(move || dispatcher_loop(&service, &rx, &stop)));
-        }
-        DispatchPool {
-            txs,
-            rr: AtomicUsize::new(0),
-            stop,
-            threads: Mutex::new(threads),
-        }
-    }
-
-    /// Assigns a connection to a dispatcher.
-    fn register(&self, stream: Box<dyn NonblockStream>) {
-        let ix = self.rr.fetch_add(1, Ordering::Relaxed) % self.txs.len();
-        let _ = self.txs[ix].send(stream);
-    }
-}
-
-impl Drop for DispatchPool {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.txs.clear();
-        for handle in self
-            .threads
-            .lock()
-            .expect("dispatch handles lock")
-            .drain(..)
-        {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// One dispatcher thread: accept handed-off connections, poll them all,
-/// back off briefly when nothing moves.
-fn dispatcher_loop(
-    service: &Service,
-    incoming: &Receiver<Box<dyn NonblockStream>>,
-    stop: &AtomicBool,
-) {
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    // Spin-then-sleep idle ladder: a handful of yields keeps single-client
-    // round-trip latency low (the reply is usually ready within
-    // microseconds); persistent idleness drops to a short sleep so an idle
-    // server costs ~no CPU.
-    let mut idle_rounds = 0u32;
-    loop {
-        if stop.load(Ordering::SeqCst) {
+        if out.write_all(&buf).and_then(|()| out.flush()).is_err() {
             return;
         }
-        loop {
-            match incoming.try_recv() {
-                Ok(stream) => {
-                    let _ = stream.set_nonblocking_mode(true);
-                    conns.push(Conn::new(stream));
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    if conns.is_empty() {
-                        return;
-                    }
-                    break;
-                }
-            }
+    }
+}
+
+/// The answer in place of a reply its shard dropped (a worker that died
+/// mid-batch), so the connection never waits on a reply that cannot
+/// come.
+fn lost() -> Reply {
+    Reply::Response(Response::Error(ServeError::BadRequest {
+        reason: "service shut down mid-request".to_string(),
+    }))
+}
+
+fn encode(buf: &mut Vec<u8>, reply: Reply) {
+    match reply {
+        Reply::Response(response) => {
+            let _ = proto::write_message(buf, RESPONSE_KIND, &response);
         }
-        let mut progress = false;
-        conns.retain_mut(|conn| conn.poll(service, &mut scratch, &mut progress));
-        if progress {
-            idle_rounds = 0;
-        } else {
-            idle_rounds = idle_rounds.saturating_add(1);
-            if idle_rounds < 64 {
-                thread::yield_now();
-            } else {
-                thread::sleep(Duration::from_micros(100));
+        Reply::Frame(frame) => buf.extend_from_slice(&frame),
+    }
+}
+
+/// The answer for a connection the OS would not give a thread.
+fn refuse<W: Write>(service: &Service, out: &mut W) {
+    let busy = ServeError::Busy {
+        retry_after_ms: service.config().retry_after_ms,
+    };
+    let _ = proto::write_message(out, RESPONSE_KIND, &Response::Error(busy));
+}
+
+fn close_tcp(socket: &TcpStream) {
+    let _ = socket.shutdown(Shutdown::Both);
+}
+
+/// A live connection: how to close it and the thread serving it.
+struct Live {
+    close: Box<dyn Fn() + Send>,
+    thread: JoinHandle<()>,
+}
+
+/// The service plus its live connections. Dropping it closes every
+/// connection and joins its threads; only then does `service` drop,
+/// joining the worker shards.
+struct FrontEnd {
+    service: Service,
+    live: Arc<Mutex<HashMap<u64, Live>>>,
+    next_id: AtomicU64,
+}
+
+impl FrontEnd {
+    /// Gives `stream` its connection thread and registers it, so dropping
+    /// the server can close it. `&S` is the reader and the writer at once,
+    /// as with [`TcpStream`].
+    fn spawn_conn<S>(&self, stream: S, close: fn(&S))
+    where
+        S: Send + Sync + 'static,
+        for<'a> &'a S: Read + Write,
+    {
+        let stream = Arc::new(stream);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let service = self.service.clone();
+        let live = Arc::clone(&self.live);
+        let conn = Arc::clone(&stream);
+        // Held across the spawn, so the thread deregisters only after it
+        // was registered.
+        let mut table = self.live.lock().expect("live connections lock");
+        let spawned = thread::Builder::new()
+            .name("drserve-conn".to_string())
+            .spawn(move || {
+                serve_conn(&service, &*conn, &*conn);
+                close(&conn);
+                // The service clone goes before the entry: a drop of the
+                // server that no longer sees this thread must not find it
+                // still holding the service.
+                drop(service);
+                live.lock().expect("live connections lock").remove(&id);
+            });
+        match spawned {
+            Ok(thread) => {
+                let closer = Arc::clone(&stream);
+                table.insert(
+                    id,
+                    Live {
+                        close: Box::new(move || close(&closer)),
+                        thread,
+                    },
+                );
+            }
+            Err(_) => {
+                drop(table);
+                refuse(&self.service, &mut &*stream);
+                close(&stream);
             }
         }
     }
 }
 
-/// A replay-and-slice server: the sharded [`Service`] plus its dispatcher
-/// pool. Cheap to clone; all clones share state.
-///
-/// Field order is load-bearing for shutdown: dispatchers drop (and join)
-/// first, releasing their `Service` clones, then the service's own drop
-/// joins the worker shards.
+impl Drop for FrontEnd {
+    fn drop(&mut self) {
+        let live: Vec<Live> = self
+            .live
+            .lock()
+            .expect("live connections lock")
+            .drain()
+            .map(|(_, conn)| conn)
+            .collect();
+        for conn in &live {
+            (conn.close)();
+        }
+        for conn in live {
+            let _ = conn.thread.join();
+        }
+    }
+}
+
+/// A replay-and-slice server: the sharded [`Service`] plus its live
+/// connections. Cheap to clone; all clones share state. Dropping the last
+/// clone closes every TCP and loopback connection and joins their threads
+/// before the service's workers are joined.
 #[derive(Clone)]
 pub struct Server {
-    dispatch: Arc<DispatchPool>,
-    service: Service,
+    front: Arc<FrontEnd>,
 }
 
 impl Server {
     /// Creates a server with the given tuning: one worker thread per
-    /// shard, plus the dispatcher pool.
+    /// shard. Connections bring their own threads.
     pub fn new(config: ServeConfig) -> Server {
-        let dispatchers = if config.dispatchers > 0 {
-            config.dispatchers
-        } else {
-            (thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                / 2)
-            .clamp(1, 4)
-        };
-        let service = Service::new(config);
-        let dispatch = Arc::new(DispatchPool::new(service.clone(), dispatchers));
-        Server { dispatch, service }
+        Server {
+            front: Arc::new(FrontEnd {
+                service: Service::new(config),
+                live: Arc::new(Mutex::new(HashMap::new())),
+                next_id: AtomicU64::new(0),
+            }),
+        }
     }
 
     /// The sharded service behind this server.
     pub fn service(&self) -> &Service {
-        &self.service
+        &self.front.service
     }
 
     /// Handles one request on the calling thread's behalf — submitted to
@@ -435,57 +372,26 @@ impl Server {
     /// answers. Never panics on bad input: every failure (including an
     /// admission shed) is a typed [`Response::Error`].
     pub fn handle(&self, request: Request) -> Response {
-        self.service.call(request)
+        self.front.service.call(request)
     }
 
     /// Current metrics snapshot (also served as [`Response::Stats`]):
     /// the cross-shard rollup with the per-shard breakdown attached.
     pub fn stats(&self) -> ServeStats {
-        self.service.stats()
+        self.front.service.stats()
     }
 
-    /// Serves one connection on the calling thread until the peer
-    /// disconnects, the stream fails, or a malformed frame forces a close.
-    /// Frame errors are answered with [`ServeError::Malformed`] and then
-    /// the connection is dropped, because framing may be out of sync.
-    pub fn serve_stream<S: Read + Write>(&self, mut stream: S) {
-        loop {
-            match proto::read_message::<S, Request>(&mut stream, REQUEST_KIND) {
-                Ok(request) => {
-                    let done = match self.service.submit(request, true) {
-                        Ok(rx) => match rx.recv() {
-                            Ok(Reply::Frame(frame)) => stream
-                                .write_all(&frame)
-                                .and_then(|()| stream.flush())
-                                .is_err(),
-                            Ok(Reply::Response(response)) => {
-                                proto::write_message(&mut stream, RESPONSE_KIND, &response).is_err()
-                            }
-                            Err(_) => true, // service shut down
-                        },
-                        Err(e) => {
-                            proto::write_message(&mut stream, RESPONSE_KIND, &Response::Error(e))
-                                .is_err()
-                        }
-                    };
-                    if done {
-                        return;
-                    }
-                }
-                Err(RecvError::Disconnected) | Err(RecvError::Io(_)) => return,
-                Err(RecvError::Frame { reason }) => {
-                    self.service.observe_malformed();
-                    let response = Response::Error(ServeError::Malformed { reason });
-                    let _ = proto::write_message(&mut stream, RESPONSE_KIND, &response);
-                    return;
-                }
-            }
-        }
+    /// Serves one connection, given as its read and write halves, until
+    /// the peer disconnects, the stream fails, or a malformed frame forces
+    /// a close. The calling thread reads; one more thread writes. This is
+    /// the loop every TCP and loopback connection runs.
+    pub fn serve_stream<R: Read, W: Write + Send>(&self, reader: R, writer: W) {
+        serve_conn(&self.front.service, reader, writer);
     }
 
-    /// Binds a TCP listener and serves connections through the dispatcher
-    /// pool until [`ServerHandle::shutdown`]. The accept loop is
-    /// nonblocking; accepted sockets are multiplexed, not given threads.
+    /// Binds a TCP listener and serves connections until
+    /// [`ServerHandle::shutdown`]. The accept loop blocks; each accepted
+    /// socket gets its own reader and writer threads.
     ///
     /// When the config names seed [`ServeConfig::peers`], an
     /// [`ServeConfig::advertise`] address, or sets
@@ -495,37 +401,45 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the address is unavailable.
+    /// Returns the bind error if the address is unavailable, or the spawn
+    /// error if the accept thread cannot start.
     pub fn listen<A: ToSocketAddrs>(&self, addr: A) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let config = self.service.config();
+        let config = self.front.service.config();
         if config.cluster || !config.peers.is_empty() || config.advertise.is_some() {
             let advertise = config
                 .advertise
                 .clone()
                 .unwrap_or_else(|| local_addr.to_string());
             let seeds = config.peers.clone();
-            self.service.enable_cluster(advertise, seeds);
+            self.front.service.enable_cluster(advertise, seeds);
         }
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = Arc::clone(&stop);
-        let dispatch = Arc::clone(&self.dispatch);
-        let accept = thread::spawn(move || {
-            while !accept_stop.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((socket, _peer)) => {
-                        let _ = socket.set_nodelay(true);
-                        dispatch.register(Box::new(socket));
+        // Weak, so dropping the server is not held up by its listener.
+        let front = Arc::downgrade(&self.front);
+        let accept = thread::Builder::new()
+            .name("drserve-accept".to_string())
+            .spawn(move || {
+                for socket in listener.incoming() {
+                    if accept_stop.load(Ordering::SeqCst) {
+                        return;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(2));
+                    match socket {
+                        Ok(socket) => {
+                            let Some(front) = front.upgrade() else {
+                                return; // the server is gone
+                            };
+                            let _ = socket.set_nodelay(true);
+                            front.spawn_conn(socket, close_tcp);
+                        }
+                        // Out of file descriptors and the like: back off
+                        // instead of spinning on the error.
+                        Err(_) => thread::sleep(Duration::from_millis(10)),
                     }
-                    Err(_) => break,
                 }
-            }
-        });
+            })?;
         Ok(ServerHandle {
             addr: local_addr,
             stop,
@@ -534,19 +448,18 @@ impl Server {
     }
 
     /// Opens a raw in-process connection to this server: the returned
-    /// stream speaks the full wire protocol against the dispatcher pool.
-    /// Unlike [`Server::loopback_client`] there is no typed client in the
-    /// way, so callers can pipeline many request frames before reading
-    /// replies — the saturation benchmark's load generator.
+    /// stream speaks the full wire protocol against the same connection
+    /// loop as TCP. Unlike [`Server::loopback_client`] there is no typed
+    /// client in the way, so callers can pipeline many request frames
+    /// before reading replies — the saturation benchmark's load generator.
     pub fn loopback_connect(&self) -> LoopbackStream {
         let (client_end, server_end) = pipe();
-        self.dispatch.register(Box::new(server_end));
+        self.front.spawn_conn(server_end, LoopbackStream::shutdown);
         client_end
     }
 
     /// Connects a [`Client`] to this server through an in-process pipe —
-    /// the full wire protocol, multiplexed by the dispatcher pool exactly
-    /// like a TCP connection.
+    /// the full wire protocol, served exactly like a TCP connection.
     pub fn loopback_client(&self) -> Client<LoopbackStream> {
         Client::new(self.loopback_connect())
     }
@@ -566,17 +479,27 @@ impl ServerHandle {
     }
 
     /// Stops accepting and joins the accept thread. Connections already
-    /// handed to the dispatchers keep being served until the server
-    /// itself drops.
+    /// accepted keep being served until the server itself drops.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+        // The accept blocks: wake it with a connection of our own. If the
+        // connect fails the accept loop has already ended.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+        let _ = accept.join();
     }
 }
 

@@ -21,7 +21,7 @@
 //! the bounded queue: a submit that would exceed `queue_capacity` is
 //! rejected immediately with [`ServeError::Busy`] whose
 //! `retry_after_ms` hint scales with the backlog ([`retry_hint`]) —
-//! load-shedding with a typed answer, never a blocked dispatcher or an
+//! load-shedding with a typed answer, never a blocked connection or an
 //! unbounded queue.
 //!
 //! **Batching**: a worker wakes up, takes everything queued (up to
@@ -635,7 +635,7 @@ fn try_execute(
                     micros: started.elapsed().as_micros() as u64,
                 });
             }
-            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options);
+            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options)?;
             Ok(Response::Slice {
                 slice: (*wire).clone(),
                 cached,
@@ -706,7 +706,7 @@ fn try_execute(
                     micros: started.elapsed().as_micros() as u64,
                 });
             }
-            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options);
+            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options)?;
             Ok(Response::Relogged {
                 digest: outcome.digest,
                 instructions: outcome.report.instructions,
@@ -1014,7 +1014,7 @@ fn try_execute(
         } => {
             let started = Instant::now();
             let slot = peer_session(state, shard, digest)?;
-            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options);
+            let (wire, cached) = slice_local(shard, &slot, digest, criterion, options)?;
             Ok(Response::Slice {
                 slice: (*wire).clone(),
                 cached,
@@ -1028,7 +1028,7 @@ fn try_execute(
         } => {
             let started = Instant::now();
             let slot = peer_session(state, shard, digest)?;
-            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options);
+            let (outcome, cached) = relog_local(state, shard, &slot, digest, criterion, options)?;
             Ok(Response::Relogged {
                 digest: outcome.digest,
                 instructions: outcome.report.instructions,
@@ -1157,16 +1157,22 @@ fn fetch_into_store(
 
 /// Computes (or serves from the shard caches) a slice for a checked-out
 /// session — the shared tail of `ComputeSlice` and `PeerSlice`.
+///
+/// # Errors
+///
+/// [`ServeError::BadRequest`] when the criterion names a record the trace
+/// does not have. A cache hit needs no check: only valid criteria are
+/// ever cached.
 fn slice_local(
     shard: &Shard,
     slot: &Arc<Mutex<drdebug::DebugSession>>,
     digest: PinballDigest,
     criterion: Criterion,
     options: SliceOptions,
-) -> (Arc<WireSlice>, bool) {
+) -> Result<(Arc<WireSlice>, bool), ServeError> {
     let fingerprint = options.fingerprint();
     if let Some(hit) = shard.cache.get(digest, criterion, fingerprint) {
-        return (hit, true);
+        return Ok((hit, true));
     }
     // One dependence index answers every criterion on this pinball under
     // these options. Same-digest requests always route to this shard, so
@@ -1175,6 +1181,7 @@ fn slice_local(
     let index = shard.index_cache.get_or_build(digest, fingerprint, || {
         slot.lock().expect("session lock").dep_index_for(&options)
     });
+    check_criterion(&index, criterion)?;
     let slice = {
         let mut guard = slot.lock().expect("session lock");
         guard.install_dep_index(fingerprint, index);
@@ -1184,11 +1191,30 @@ fn slice_local(
     shard
         .cache
         .insert(digest, criterion, fingerprint, Arc::clone(&wire));
-    (wire, false)
+    Ok((wire, false))
+}
+
+/// Checks an untrusted criterion against the index it will be sliced on.
+fn check_criterion(index: &DepIndex, criterion: Criterion) -> Result<(), ServeError> {
+    match index.position(criterion.record_id()) {
+        Some(_) => Ok(()),
+        None => Err(ServeError::BadRequest {
+            reason: format!(
+                "criterion record {} is not in the trace ({} records)",
+                criterion.record_id(),
+                index.len()
+            ),
+        }),
+    }
 }
 
 /// Relogs (or serves from the relog cache) — the shared tail of `Relog`
 /// and `PeerRelog`. The slice pinball publishes into the global store.
+///
+/// # Errors
+///
+/// [`ServeError::BadRequest`] when the criterion names a record the trace
+/// does not have, as in [`slice_local`].
 fn relog_local(
     state: &ServiceState,
     shard: &Shard,
@@ -1196,7 +1222,7 @@ fn relog_local(
     digest: PinballDigest,
     criterion: Criterion,
     options: SliceOptions,
-) -> (Arc<RelogOutcome>, bool) {
+) -> Result<(Arc<RelogOutcome>, bool), ServeError> {
     let fingerprint = options.fingerprint();
     shard
         .relog_cache
@@ -1209,6 +1235,7 @@ fn relog_local(
             let index = shard.index_cache.get_or_build(digest, fingerprint, || {
                 slot.lock().expect("session lock").dep_index_for(&options)
             });
+            check_criterion(&index, criterion)?;
             let (container, report) = {
                 let mut guard = slot.lock().expect("session lock");
                 guard.install_dep_index(fingerprint, index);
@@ -1221,11 +1248,11 @@ fn relog_local(
                     .store
                     .insert_if_absent(slice_digest, program, Arc::new(container));
             }
-            Arc::new(RelogOutcome {
+            Ok(Arc::new(RelogOutcome {
                 digest: slice_digest,
                 report,
                 bytes,
-            })
+            }))
         })
 }
 

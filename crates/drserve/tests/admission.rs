@@ -2,7 +2,7 @@
 //!
 //! The contract these tests pin down: a shard whose queue is full answers
 //! *immediately* with a typed [`ServeError::Busy`] whose `retry_after_ms`
-//! hint reflects the backlog — it never blocks the dispatcher, never
+//! hint reflects the backlog — it never blocks the connection, never
 //! drops a frame on the floor, and never panics. Every pipelined request
 //! gets exactly one reply, in order. A [`Client`] with a
 //! [`RetryPolicy`] rides the Busy answers out with bounded backoff and is
@@ -18,6 +18,8 @@
 
 use std::io::Write;
 use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use drserve::proto::{self, Request, Response, ServeError, REQUEST_KIND, RESPONSE_KIND};
 use drserve::{ClientError, RetryPolicy, ServeConfig, Server, SliceAt};
@@ -29,12 +31,11 @@ use slicer::{LocKey, SliceOptions};
 const BASE_MS: u64 = 40;
 const FULL_QUEUE_HINT_MS: u64 = 5 * BASE_MS;
 
-/// One shard, one dispatcher, a two-deep queue, no batching: the
-/// smallest server that can be overloaded deterministically.
+/// One shard, a two-deep queue, no batching: the smallest server that
+/// can be overloaded deterministically.
 fn tiny_queue_config() -> ServeConfig {
     ServeConfig {
         shards: 1,
-        dispatchers: 1,
         queue_capacity: 2,
         batch_max: 1,
         retry_after_ms: BASE_MS,
@@ -156,10 +157,20 @@ fn client_retry_rides_out_overload_and_exhausts_when_bounded() {
     let up = setup.upload(&program, &pinball).expect("upload");
     let session = setup.open(up.digest).expect("open");
 
-    // Fill the queue: two slices admitted and computing, two shed.
+    // Fill the queue: two slices admitted and computing, two shed. The
+    // burst's connection has a reader thread of its own, so wait until it
+    // has submitted all four before the clients below ask.
     let mut conn = server.loopback_connect();
     conn.write_all(&cold_slice_burst(session, 4))
         .expect("burst write");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().shed < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "the burst never filled the queue"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
 
     // An impatient client exhausts its bounded budget while the queue is
     // still full and surfaces the typed error, hint intact.

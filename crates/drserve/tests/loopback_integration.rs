@@ -261,6 +261,69 @@ fn typed_errors_for_misuse() {
     assert_eq!(stats.errors, 4);
 }
 
+/// A criterion naming a record the trace does not have is a typed
+/// `BadRequest` on every path that slices or relogs — never a worker
+/// panic that leaves its shard answering `Busy` for good.
+#[test]
+fn out_of_range_criterion_is_a_bad_request_and_the_shard_survives() {
+    let (program, pinball) = recorded();
+    let expected = local_failure_slice(&program, &pinball);
+    // One shard, so every request below lands on the shard under test.
+    let server = Server::new(ServeConfig {
+        shards: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = server.loopback_client();
+    let up = client.upload(&program, &pinball).expect("upload");
+    let session = client.open(up.digest).expect("open");
+    let bogus = Criterion::Record { id: u64::MAX };
+    let at = SliceAt::Criterion { criterion: bogus };
+    let bad_request = |result: Result<(), ClientError>, what: &str| match result {
+        Err(ClientError::Server(ServeError::BadRequest { reason })) => {
+            assert!(reason.contains("not in the trace"), "{what}: {reason}");
+        }
+        other => panic!("{what}: expected BadRequest, got {other:?}"),
+    };
+    bad_request(
+        client
+            .compute_slice(session, at.clone(), SliceOptions::default())
+            .map(drop),
+        "ComputeSlice",
+    );
+    bad_request(
+        client
+            .relog(session, at.clone(), SliceOptions::default())
+            .map(drop),
+        "Relog",
+    );
+    bad_request(
+        client
+            .peer_slice(up.digest, bogus, SliceOptions::default())
+            .map(drop),
+        "PeerSlice",
+    );
+    bad_request(
+        client
+            .peer_relog(up.digest, bogus, SliceOptions::default())
+            .map(drop),
+        "PeerRelog",
+    );
+    // A failed relog caches nothing: asking again is still BadRequest.
+    bad_request(
+        client.relog(session, at, SliceOptions::default()).map(drop),
+        "Relog again",
+    );
+
+    // The shard still answers, both cheap and real work.
+    let stats = client.stats().expect("stats after the bad criteria");
+    assert_eq!(stats.errors, 5);
+    assert_eq!(stats.shed, 0, "nothing was answered Busy");
+    let reply = client
+        .compute_slice(session, SliceAt::Failure, SliceOptions::default())
+        .expect("a valid slice on the same shard");
+    assert_eq!(reply.slice.canonical_bytes(), expected);
+}
+
 /// Relog round-trip: the server turns a failure slice into a
 /// content-addressed slice pinball; the digest opens and slices like any
 /// upload, the container downloads and slices identically in a local

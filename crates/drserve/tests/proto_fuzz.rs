@@ -7,46 +7,19 @@
 //! response followed by a clean disconnect. Never a panic, never a
 //! hang, never an allocation driven by attacker-controlled lengths.
 
-use std::io::{Cursor, Read, Write};
-
 use drserve::{
     proto, RecvError, Request, Response, ServeConfig, ServeError, Server, SliceAt, REQUEST_KIND,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use slicer::SliceOptions;
 
-/// A scripted byte stream: the server reads the canned input and its
-/// responses accumulate in `output`. Runs `serve_stream` synchronously —
-/// no threads, so a panic in the server fails the test directly.
-struct ScriptedStream {
-    input: Cursor<Vec<u8>>,
-    output: Vec<u8>,
-}
-
-impl ScriptedStream {
-    fn new(input: Vec<u8>) -> ScriptedStream {
-        ScriptedStream {
-            input: Cursor::new(input),
-            output: Vec::new(),
-        }
-    }
-}
-
-impl Read for ScriptedStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.input.read(buf)
-    }
-}
-
-impl Write for ScriptedStream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.output.extend_from_slice(buf);
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
+/// Runs the server's connection loop over canned input on the calling
+/// thread (its writer is a scoped thread, so a panic in the server still
+/// fails the test) and returns every byte the server wrote.
+fn serve_script(server: &Server, input: &[u8]) -> Vec<u8> {
+    let mut output = Vec::new();
+    server.serve_stream(input, &mut output);
+    output
 }
 
 fn sample_frame() -> Vec<u8> {
@@ -121,9 +94,7 @@ fn server_answers_malformed_then_disconnects_for_every_flip() {
         for bit in 0..8 {
             let mut bad = frame.clone();
             bad[offset] ^= 1 << bit;
-            let mut stream = ScriptedStream::new(bad);
-            server.serve_stream(&mut stream);
-            let replies = responses(&stream.output);
+            let replies = responses(&serve_script(&server, &bad));
             assert_eq!(
                 replies.len(),
                 1,
@@ -150,9 +121,7 @@ fn random_garbage_never_panics_the_server() {
     for round in 0..200 {
         let len = rng.gen_range(0..512);
         let garbage: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-        let mut stream = ScriptedStream::new(garbage);
-        server.serve_stream(&mut stream);
-        for reply in responses(&stream.output) {
+        for reply in responses(&serve_script(&server, &garbage)) {
             assert!(
                 matches!(reply, Response::Error(_)),
                 "round {round}: garbage must only ever produce errors, got {reply:?}"
@@ -167,9 +136,7 @@ fn valid_request_then_garbage_answers_then_closes() {
     let mut input = Vec::new();
     proto::write_message(&mut input, REQUEST_KIND, &Request::Stats).expect("encodes");
     input.extend_from_slice(b"\xff\xff not a frame \x00\x00");
-    let mut stream = ScriptedStream::new(input);
-    server.serve_stream(&mut stream);
-    let replies = responses(&stream.output);
+    let replies = responses(&serve_script(&server, &input));
     assert_eq!(replies.len(), 2, "stats answer, then the malformed error");
     assert!(matches!(replies[0], Response::Stats(_)));
     assert!(matches!(
@@ -187,9 +154,7 @@ fn oversized_length_is_rejected_before_allocation() {
     pinzip::varint::write_u64(&mut bad, 1 << 42);
     bad.extend_from_slice(&[0u8; 16]);
     let server = Server::new(ServeConfig::default());
-    let mut stream = ScriptedStream::new(bad);
-    server.serve_stream(&mut stream);
-    let replies = responses(&stream.output);
+    let replies = responses(&serve_script(&server, &bad));
     assert_eq!(replies.len(), 1);
     match &replies[0] {
         Response::Error(ServeError::Malformed { reason }) => {

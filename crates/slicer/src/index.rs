@@ -649,6 +649,13 @@ impl DepIndex {
         Some((resolved, self.key_hops[lo + i - 1]))
     }
 
+    /// Position of a record id in the indexed global order, or `None` when
+    /// the trace has no such record — what a caller checks before handing
+    /// an untrusted criterion to [`compute_slice_indexed`].
+    pub fn position(&self, id: RecordId) -> Option<usize> {
+        self.pos_of.get(&id).map(|&p| p as usize)
+    }
+
     /// Number of records the index covers.
     pub fn len(&self) -> usize {
         self.record_ids.len()
@@ -706,10 +713,9 @@ impl DepIndex {
 ///
 /// Panics if the criterion's record id is not present in the index.
 pub fn compute_slice_indexed(index: &DepIndex, criterion: Criterion) -> Slice {
-    let crit_pos = *index
-        .pos_of
-        .get(&criterion.record_id())
-        .expect("criterion record not in trace") as usize;
+    let crit_pos = index
+        .position(criterion.record_id())
+        .expect("criterion record not in trace");
 
     let mut slice = Slice {
         criterion,
