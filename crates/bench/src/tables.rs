@@ -274,8 +274,16 @@ pub fn slicing_overhead(region_length: u64) {
     let programs = all_parsec();
     for p in &programs {
         let rr = record_parsec_region(p, 1_000, region_length);
-        let (session, collect_t) =
-            collect_session(&rr.program, &rr.recording.pinball, SlicerOptions::default());
+        // Clustered, as the paper's LP traversal (and its skip column)
+        // expects.
+        let (session, collect_t) = collect_session(
+            &rr.program,
+            &rr.recording.pinball,
+            SlicerOptions {
+                cluster: true,
+                ..SlicerOptions::default()
+            },
+        );
         let criteria = last_read_criteria(&session, 10);
         let n = criteria.len().max(1) as f64;
         let mut sz = 0usize;
@@ -379,10 +387,16 @@ pub fn ablations(region_length: u64) {
         );
     }
 
-    // 3. LP vs naive traversal.
+    // 3. LP vs naive traversal, over the clustered trace LP is built for.
     {
-        let (session, _) =
-            collect_session(&rr.program, &rr.recording.pinball, SlicerOptions::default());
+        let (session, _) = collect_session(
+            &rr.program,
+            &rr.recording.pinball,
+            SlicerOptions {
+                cluster: true,
+                ..SlicerOptions::default()
+            },
+        );
         let criterion = crate::exp::last_read_of_addr(&session, encoded).expect("encoded is read");
         let (lp, lp_t) = timed(|| {
             slicer::compute_slice(

@@ -861,10 +861,17 @@ impl DebugSession {
     /// first use.
     pub fn record_at_stop(&mut self) -> Option<slicer::RecordId> {
         let site = self.stopped_at()?;
-        let slicer = self.slicer();
-        slicer
-            .trace()
-            .rfind(|r| r.tid == site.tid && r.pc == site.pc && r.instance == site.instance)
+        let last_retired = self.position().checked_sub(1);
+        let trace = self.slicer().trace();
+        let at_site = |r: &slicer::TraceRecord| {
+            r.tid == site.tid && r.pc == site.pc && r.instance == site.instance
+        };
+        // Record ids are the retire sequence, so the stop is the record
+        // numbered one below the retired count; scan only if it is not.
+        last_retired
+            .and_then(|id| trace.record(id))
+            .filter(|r| at_site(r))
+            .or_else(|| trace.rfind(at_site))
             .map(|r| r.id)
     }
 
@@ -1405,6 +1412,35 @@ mod reverse_tests {
             "only the tail chunk replays, got {}",
             m.instructions_replayed
         );
+    }
+
+    /// The stop's record is found by id (the retired count minus one),
+    /// and it is the record a scan for the stop site finds.
+    #[test]
+    fn record_at_stop_is_the_last_retired_record() {
+        let program = Arc::new(assemble(MT_PROG).unwrap());
+        let rec = record_whole_program(
+            &program,
+            &mut RoundRobin::new(7),
+            &mut LiveEnv::new(42),
+            1_000_000,
+            "stop-record",
+        )
+        .unwrap();
+        let mut s = DebugSession::new(Arc::clone(&program), rec.pinball);
+        assert_eq!(s.record_at_stop(), None, "not stopped yet");
+        for target in [1, 2, 57, 400, 133] {
+            s.seek_to(target);
+            let site = s.stopped_at().expect("stopped");
+            let id = s.record_at_stop().expect("stop is in the trace");
+            assert_eq!(id, target - 1);
+            let scanned = s
+                .slicer()
+                .trace()
+                .rfind(|r| r.tid == site.tid && r.pc == site.pc && r.instance == site.instance)
+                .map(|r| r.id);
+            assert_eq!(scanned, Some(id));
+        }
     }
 
     #[test]

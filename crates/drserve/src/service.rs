@@ -932,13 +932,14 @@ fn try_execute(
             // come back unchanged and the cached trace/index below only
             // pay for the new suffix.
             let container = st.reader.partial_container()?;
-            let collect_opts = SlicerOptions {
-                // Appends must keep prefix positions stable.
-                cluster: false,
-                ..SlicerOptions::default()
-            };
-            let session =
-                SliceSession::collect(Arc::clone(&st.program), &container.pinball, collect_opts);
+            // The default layout is the retire order, whose prefix
+            // positions stay put as the stream grows.
+            let session = SliceSession::collect(
+                Arc::clone(&st.program),
+                &container.pinball,
+                SlicerOptions::default(),
+            );
+            let failure = session.failure_record().map(|r| r.id);
             let fingerprint = options.fingerprint();
             match &mut st.slicing {
                 Some(s) if s.fingerprint == fingerprint => {
@@ -947,16 +948,10 @@ fn try_execute(
                     s.index.append(&s.trace, session.pairs(), &options);
                 }
                 slot => {
-                    let trace = GlobalTrace::build_with(
-                        session.trace().records().to_vec(),
-                        collect_opts.block_size,
-                        collect_opts.track_sp,
-                        false,
-                    );
-                    let index = DepIndex::build(&trace, session.pairs(), &options);
+                    let index = DepIndex::build(session.trace(), session.pairs(), &options);
                     *slot = Some(StreamSlicing {
                         fingerprint,
-                        trace,
+                        trace: session.into_trace(),
                         index,
                     });
                 }
@@ -965,12 +960,9 @@ fn try_execute(
             let criterion = match at {
                 SliceAt::Criterion { criterion } => criterion,
                 SliceAt::Failure => Criterion::Record {
-                    id: session
-                        .failure_record()
-                        .map(|r| r.id)
-                        .ok_or(ServeError::BadRequest {
-                            reason: "trace is empty; nothing to slice".to_string(),
-                        })?,
+                    id: failure.ok_or(ServeError::BadRequest {
+                        reason: "trace is empty; nothing to slice".to_string(),
+                    })?,
                 },
                 SliceAt::Here { .. } => {
                     return Err(ServeError::BadRequest {

@@ -7,6 +7,11 @@
 //! save/restore pairs — and serves any number of slice requests against it
 //! ("once collected, the dynamic information can be used for multiple
 //! slicing sessions as PinPlay guarantees repeatability", §7).
+//!
+//! Collection runs on the replaying thread and keeps the replay's retire
+//! order: record ids are the retire sequence `0..n`, and the collected
+//! vector becomes the global trace without a copy. Only a `cluster`
+//! session (LP locality, the §3 ablation) pays for a topological merge.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,13 +31,6 @@ use crate::regions::{exclusion_regions, ExclusionStats};
 use crate::slice::{compute_slice, Criterion, Slice, SliceOptions, DEFAULT_PARALLEL_THRESHOLD};
 use crate::trace::{LocKey, RecordId, TraceRecord};
 
-/// Upper bound on concurrent collector threads (one per thread shard).
-const MAX_COLLECTORS: usize = 8;
-
-/// Bounded per-collector channel depth: enough to absorb scheduling jitter
-/// without letting the replay run arbitrarily far ahead of the collectors.
-const COLLECTOR_CHANNEL_CAP: usize = 1024;
-
 /// Configuration for trace collection and slicing.
 #[derive(Debug, Clone, Copy)]
 pub struct SlicerOptions {
@@ -50,18 +48,21 @@ pub struct SlicerOptions {
     pub track_sp: bool,
     /// LP block size (records per block).
     pub block_size: usize,
-    /// Cluster per-thread runs in the global trace for LP locality (§3);
-    /// off = keep the raw replay interleaving (an ablation knob).
+    /// Reorder the global trace into per-thread clusters for LP locality
+    /// (§3). Off by default: the trace keeps the replay's retire order,
+    /// which already honours program and shared-access order. Turn it on
+    /// to measure the LP traversal or the §3 clustering ablation; slices
+    /// are the same either way.
     pub cluster: bool,
     /// Apply save/restore bypass pruning when slicing (§5.2).
     pub prune_save_restore: bool,
-    /// Use the parallel pipeline (concurrent per-thread collectors fed by a
-    /// streaming replay, parallel block summaries, sparse traversal) for
-    /// workloads at least `parallel_threshold` instructions long. The
-    /// parallel and serial pipelines produce identical slices.
+    /// Let [`SliceSession::slice`] answer traces at least
+    /// `parallel_threshold` records long with the sparse index-guided
+    /// traversal instead of the LP block scan. Both produce identical
+    /// slices; collection is serial either way.
     pub parallel: bool,
-    /// Minimum logged-instruction count before `parallel` engages, and the
-    /// minimum trace length before slice queries take the sparse path.
+    /// Minimum trace length before [`SliceSession::slice`] takes the
+    /// sparse path (with `parallel` on).
     pub parallel_threshold: usize,
 }
 
@@ -73,7 +74,7 @@ impl Default for SlicerOptions {
             max_save: 10,
             track_sp: false,
             block_size: DEFAULT_BLOCK_SIZE,
-            cluster: true,
+            cluster: false,
             prune_save_restore: true,
             parallel: true,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
@@ -101,8 +102,6 @@ struct ReplaySource<'a> {
     syscalls: &'a [Vec<i64>],
     exit: RecordedExit,
     log: EventLog,
-    threads: usize,
-    instructions: u64,
 }
 
 impl ReplaySource<'_> {
@@ -117,71 +116,37 @@ impl ReplaySource<'_> {
     }
 }
 
-/// Builds one trace record from a replay event (shared by the serial and
-/// parallel collectors).
-fn make_record(
-    program: &Program,
-    tracker: &mut ControlTracker,
-    detector: &mut PairDetector,
-    ev: &minivm::InsEvent,
-) -> TraceRecord {
-    let id: RecordId = ev.seq;
-    let cd = tracker.on_event(ev, id);
-    detector.on_event(ev, id);
-    TraceRecord {
-        id,
-        tid: ev.tid,
-        pc: ev.pc,
-        instance: ev.instance,
-        instr: ev.instr,
-        next_pc: ev.next_pc,
-        uses: ev.uses,
-        defs: ev.defs,
-        spawned: ev.spawned,
-        cd_parent: cd,
-        line: program.line_of(ev.pc),
-    }
-}
-
 impl SliceSession {
-    /// Replays `pinball` and collects everything slicing needs: per-thread
-    /// def/use traces merged into the global trace, dynamic control
-    /// dependences over the (refined) CFG, and verified save/restore pairs.
+    /// Replays `pinball` and collects everything slicing needs: def/use
+    /// records in retire order, dynamic control dependences over the
+    /// (refined) CFG, and verified save/restore pairs.
     ///
-    /// For multi-threaded workloads at least
-    /// [`SlicerOptions::parallel_threshold`] instructions long (with
-    /// `parallel` on), collection runs concurrently: the replay streams
-    /// events into per-thread-shard channels drained by collector threads,
-    /// each tracking control dependences and save/restore pairs for its
-    /// threads independently. The shard results are merged back into
-    /// global retire order, which reproduces the serial collection
-    /// byte for byte — control dependence and pair state is per-thread, and
-    /// after two-pass discovery the shared CFG is read-only, so sharding by
-    /// thread cannot change any result. (With online-only refinement —
-    /// `refine_indirect` without `two_pass_discovery` — indirect-target
-    /// observations *do* cross threads, so collection stays serial.)
+    /// Collection runs on the replaying thread: one [`ControlTracker`] and
+    /// one [`PairDetector`] see every instruction as it retires, and each
+    /// record's id is its retire sequence number. That order honours
+    /// program order and shared-memory access order (paper §3 step ii),
+    /// so it is the global trace as it stands; only a `cluster` session
+    /// reorders it.
     pub fn collect(
         program: Arc<Program>,
         pinball: &Pinball,
         options: SlicerOptions,
     ) -> SliceSession {
-        // One Arc over the events, shared by every replay pass and every
-        // parallel shard — the single copy here is the only one made.
+        // One Arc over the events, shared by both replay passes — the
+        // single copy here is the only one made.
         let source = ReplaySource {
             snapshot: &pinball.snapshot,
             syscalls: &pinball.syscalls,
             exit: pinball.exit,
             log: EventLog::Owned(Arc::new(pinball.events.clone())),
-            threads: pinball_thread_count(pinball),
-            instructions: pinball.logged_instructions(),
         };
         SliceSession::collect_source(program, source, options)
     }
 
     /// As [`SliceSession::collect`], but reading the replay log straight
     /// out of a zero-copy [`ContainerView`] — no owned event vector is
-    /// ever materialized; every pass and shard borrows the one columnar
-    /// log the v4 load produced.
+    /// ever materialized; both passes borrow the one columnar log the v4
+    /// load produced.
     pub fn collect_view(
         program: Arc<Program>,
         view: &ContainerView,
@@ -192,8 +157,6 @@ impl SliceSession {
             syscalls: &view.syscalls,
             exit: view.exit,
             log: EventLog::Columns(Arc::clone(&view.events)),
-            threads: view.events.thread_count(),
-            instructions: view.instructions(),
         };
         SliceSession::collect_source(program, source, options)
     }
@@ -220,32 +183,30 @@ impl SliceSession {
             replayer.run(&mut observe);
         }
 
-        // Pass 2: full collection, sharded by thread when safe and worth it.
-        let shards = source.threads.min(MAX_COLLECTORS);
-        let parallel_safe = !options.refine_indirect || options.two_pass_discovery;
-        let use_parallel = options.parallel
-            && parallel_safe
-            && shards > 1
-            && source.instructions >= options.parallel_threshold as u64;
-
-        let (records, pairs, cfg) = if use_parallel {
-            let (records, pairs) = collect_parallel(&program, &source, &cfg, &options, shards);
-            (records, pairs, cfg)
-        } else {
-            let mut tracker = ControlTracker::new(cfg, options.refine_indirect);
-            let mut detector = PairDetector::new(PairCandidates::find(&program, options.max_save));
-            let mut records: Vec<TraceRecord> = Vec::new();
-            {
-                let program2 = Arc::clone(&program);
-                let mut collect = |ev: &minivm::InsEvent| {
-                    records.push(make_record(&program2, &mut tracker, &mut detector, ev));
-                    ToolControl::Continue
-                };
-                let mut replayer = source.replayer(&program);
-                replayer.run(&mut collect);
-            }
-            (records, detector.finish(), tracker.into_cfg())
+        // Pass 2: collect one record per retired instruction.
+        let mut tracker = ControlTracker::new(cfg, options.refine_indirect);
+        let mut detector = PairDetector::new(PairCandidates::find(&program, options.max_save));
+        let mut records: Vec<TraceRecord> = Vec::new();
+        let mut collect = |ev: &minivm::InsEvent| {
+            let id: RecordId = ev.seq;
+            records.push(TraceRecord {
+                id,
+                tid: ev.tid,
+                pc: ev.pc,
+                instance: ev.instance,
+                instr: ev.instr,
+                next_pc: ev.next_pc,
+                uses: ev.uses,
+                defs: ev.defs,
+                spawned: ev.spawned,
+                cd_parent: tracker.on_event(ev, id),
+                line: program.line_of(ev.pc),
+            });
+            detector.on_event(ev, id);
+            ToolControl::Continue
         };
+        source.replayer(&program).run(&mut collect);
+        let (pairs, cfg) = (detector.finish(), tracker.into_cfg());
         let collect_wall = collect_start.elapsed();
         let n_records = records.len() as u64;
 
@@ -259,8 +220,6 @@ impl SliceSession {
             collect: StageMetrics::new(collect_wall, n_records),
             merge: StageMetrics::new(build.merge_wall, n_records),
             summarize: StageMetrics::new(build.summarize_wall, n_records),
-            collector_threads: if use_parallel { shards } else { 1 },
-            summary_workers: build.summary_workers,
             ..SliceMetrics::default()
         };
         SliceSession {
@@ -301,6 +260,13 @@ impl SliceSession {
         &self.pairs
     }
 
+    /// Gives up the session, keeping its global trace — for a caller
+    /// that maintains the trace itself from here on (a live stream
+    /// growing it with [`GlobalTrace::extend`]).
+    pub fn into_trace(self) -> GlobalTrace {
+        self.trace
+    }
+
     /// Computes a backward dynamic slice.
     pub fn slice(&self, criterion: Criterion) -> Slice {
         let opts = SliceOptions {
@@ -322,12 +288,17 @@ impl SliceSession {
     }
 
     /// The last *retired* record of the trace — for buggy pinballs this is
-    /// the trapping instruction, i.e. the failure point. (Record ids are
-    /// the retire order; the clustered global order may legally place other
-    /// threads' independent records after the trap, so position is the
-    /// wrong key here.)
+    /// the trapping instruction, i.e. the failure point. In retire order
+    /// that is the last record. A clustered order may legally place other
+    /// threads' independent records after the trap, so there the largest
+    /// id (ids are the retire sequence) is searched for.
     pub fn failure_record(&self) -> Option<&TraceRecord> {
-        self.trace.records().iter().max_by_key(|r| r.id)
+        let records = self.trace.records();
+        if self.options.cluster {
+            records.iter().max_by_key(|r| r.id)
+        } else {
+            records.last()
+        }
     }
 
     /// The last execution of `pc` (any thread), the common interactive
@@ -362,78 +333,8 @@ impl SliceSession {
     }
 }
 
-/// Number of threads the pinball's schedule log mentions.
-fn pinball_thread_count(pinball: &Pinball) -> usize {
-    pinball
-        .events
-        .iter()
-        .filter_map(|e| match e {
-            pinplay::ReplayEvent::Run { tid, .. } | pinplay::ReplayEvent::Skip { tid, .. } => {
-                Some(*tid as usize)
-            }
-            pinplay::ReplayEvent::Inject { .. } => None,
-        })
-        .max()
-        .map_or(1, |t| t + 1)
-}
-
-/// The concurrent collection pass: the replay (on the calling thread)
-/// streams events into `shards` bounded channels, sharded by thread id;
-/// each collector thread drains one channel, running its own
-/// [`ControlTracker`] and [`PairDetector`] over the threads it owns.
-///
-/// Determinism: record ids are the global retire sequence, so sorting the
-/// concatenated shard outputs by id restores exactly the order the serial
-/// collector would have produced. Pair maps are disjoint across shards
-/// (pair state is per-thread), so their union is order-independent.
-fn collect_parallel(
-    program: &Arc<Program>,
-    source: &ReplaySource<'_>,
-    cfg: &Cfg,
-    options: &SlicerOptions,
-    shards: usize,
-) -> (Vec<TraceRecord>, HashMap<RecordId, RecordId>) {
-    let candidates = PairCandidates::find(program, options.max_save);
-    let (mut records, pairs) = std::thread::scope(|s| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = crossbeam::channel::bounded::<minivm::InsEvent>(COLLECTOR_CHANNEL_CAP);
-            senders.push(tx);
-            let cfg = cfg.clone();
-            let candidates = candidates.clone();
-            let program = Arc::clone(program);
-            let refine = options.refine_indirect;
-            handles.push(s.spawn(move || {
-                let mut tracker = ControlTracker::new(cfg, refine);
-                let mut detector = PairDetector::new(candidates);
-                let mut records: Vec<TraceRecord> = Vec::new();
-                for ev in rx.iter() {
-                    records.push(make_record(&program, &mut tracker, &mut detector, &ev));
-                }
-                (records, detector.finish())
-            }));
-        }
-        let mut replayer = source.replayer(program);
-        replayer.run_streaming(&senders);
-        drop(senders); // disconnect: collectors drain and finish
-
-        let mut records: Vec<TraceRecord> = Vec::new();
-        let mut pairs: HashMap<RecordId, RecordId> = HashMap::new();
-        for h in handles {
-            let (shard_records, shard_pairs) = h.join().expect("collector thread panicked");
-            records.extend(shard_records);
-            pairs.extend(shard_pairs);
-        }
-        (records, pairs)
-    });
-    // Restore global retire order (= the serial collection order).
-    records.sort_unstable_by_key(|r| r.id);
-    (records, pairs)
-}
-
 #[cfg(test)]
-mod parallel_collection_tests {
+mod collection_tests {
     use super::*;
     use minivm::{assemble, LiveEnv, RoundRobin};
     use pinplay::record_whole_program;
@@ -481,56 +382,10 @@ mod parallel_collection_tests {
         (program, rec.pinball)
     }
 
-    /// The parallel collection pipeline must reproduce the serial
-    /// collection byte for byte: records (including control parents),
-    /// pairs, and therefore every slice.
-    #[test]
-    fn parallel_collection_matches_serial() {
-        let (program, pinball) = record_mt();
-        let serial = SliceSession::collect(
-            Arc::clone(&program),
-            &pinball,
-            SlicerOptions {
-                parallel: false,
-                ..SlicerOptions::default()
-            },
-        );
-        let parallel = SliceSession::collect(
-            Arc::clone(&program),
-            &pinball,
-            SlicerOptions {
-                parallel: true,
-                parallel_threshold: 0,
-                ..SlicerOptions::default()
-            },
-        );
-        assert!(
-            parallel.metrics().collector_threads > 1,
-            "parallel pipeline engaged: {} collectors",
-            parallel.metrics().collector_threads
-        );
-        assert_eq!(serial.metrics().collector_threads, 1);
-
-        let sr = serial.trace().records();
-        let pr = parallel.trace().records();
-        assert_eq!(sr.len(), pr.len());
-        for (a, b) in sr.iter().zip(pr) {
-            assert_eq!(a, b, "record {} differs between pipelines", a.id);
-        }
-        assert_eq!(serial.pairs(), parallel.pairs());
-
-        let fail = serial.failure_record().unwrap().id;
-        let s_slice = serial.slice(Criterion::Record { id: fail });
-        let p_slice = parallel.slice(Criterion::Record { id: fail });
-        assert_eq!(s_slice.records, p_slice.records);
-        assert_eq!(s_slice.data_edges, p_slice.data_edges);
-        assert_eq!(s_slice.control_edges, p_slice.control_edges);
-    }
-
     /// Collecting straight from a zero-copy v4 [`ContainerView`] must
     /// reproduce the owned-pinball collection exactly — every trace
-    /// record, every pair, and every slice — in both the serial and the
-    /// parallel pipelines.
+    /// record, every pair, and every slice — in retire order and
+    /// clustered.
     #[test]
     fn view_collection_matches_pinball_collection() {
         let (program, pinball) = record_mt();
@@ -538,19 +393,13 @@ mod parallel_collection_tests {
         let bytes = container.to_bytes().unwrap();
         let view = ContainerView::from_bytes(&bytes).unwrap();
 
-        for parallel in [false, true] {
+        for cluster in [false, true] {
             let opts = SlicerOptions {
-                parallel,
-                parallel_threshold: 0,
+                cluster,
                 ..SlicerOptions::default()
             };
             let owned = SliceSession::collect(Arc::clone(&program), &pinball, opts);
             let viewed = SliceSession::collect_view(Arc::clone(&program), &view, opts);
-            assert_eq!(
-                owned.metrics().collector_threads,
-                viewed.metrics().collector_threads,
-                "both pipelines shard the same way (parallel={parallel})"
-            );
             assert_eq!(owned.trace().records(), viewed.trace().records());
             assert_eq!(owned.pairs(), viewed.pairs());
 
@@ -563,42 +412,54 @@ mod parallel_collection_tests {
         }
     }
 
-    /// Online-only CFG refinement (no discovery pass) is the one
-    /// configuration where sharding would diverge; collection must stay
-    /// serial there.
+    /// A default collect keeps the retire order: no cluster merge runs and
+    /// no LP block summary is built until a caller asks for one.
     #[test]
-    fn online_refinement_forces_serial_collection() {
+    fn default_collect_skips_merge_and_summaries() {
         let (program, pinball) = record_mt();
-        let session = SliceSession::collect(
-            Arc::clone(&program),
+        let session =
+            SliceSession::collect(Arc::clone(&program), &pinball, SlicerOptions::default());
+        let m = session.metrics();
+        assert_eq!(m.merge.wall, std::time::Duration::ZERO, "no merge ran");
+        assert!(!session.trace().blocks_built(), "no LP summaries yet");
+        let ids: Vec<RecordId> = session.trace().records().iter().map(|r| r.id).collect();
+        assert_eq!(ids, (0..ids.len() as RecordId).collect::<Vec<_>>());
+
+        // The index path never asks for them either.
+        let index = crate::DepIndex::build(session.trace(), session.pairs(), &SliceOptions::new());
+        let fail = session.failure_record().unwrap().id;
+        let _ = crate::compute_slice_indexed(&index, Criterion::Record { id: fail });
+        assert!(!session.trace().blocks_built());
+
+        // LP builds them on first use.
+        let _ = crate::compute_slice_lp(
+            session.trace(),
+            Criterion::Record { id: fail },
+            session.pairs(),
+            SliceOptions::new(),
+        );
+        assert!(session.trace().blocks_built());
+
+        let clustered = SliceSession::collect(
+            program,
             &pinball,
             SlicerOptions {
-                parallel: true,
-                parallel_threshold: 0,
-                two_pass_discovery: false,
+                cluster: true,
                 ..SlicerOptions::default()
             },
         );
-        assert_eq!(session.metrics().collector_threads, 1);
+        assert!(!clustered.trace().blocks_built());
     }
 
     /// Pipeline metrics cover every stage after collection.
     #[test]
     fn session_metrics_are_populated() {
         let (program, pinball) = record_mt();
-        let session = SliceSession::collect(
-            Arc::clone(&program),
-            &pinball,
-            SlicerOptions {
-                parallel: true,
-                parallel_threshold: 0,
-                ..SlicerOptions::default()
-            },
-        );
+        let session =
+            SliceSession::collect(Arc::clone(&program), &pinball, SlicerOptions::default());
         let m = session.metrics();
         assert_eq!(m.collect.records, session.trace().records().len() as u64);
         assert_eq!(m.merge.records, m.collect.records);
-        assert!(m.summary_workers >= 1);
         let fail = session.failure_record().unwrap().id;
         let slice = session.slice(Criterion::Record { id: fail });
         let folded = m.with_traversal(&slice.stats, std::time::Duration::from_micros(1));
@@ -646,8 +507,11 @@ mod failure_record_tests {
             "failure-order",
         )
         .unwrap();
-        let session =
-            SliceSession::collect(Arc::clone(&program), &rec.pinball, SlicerOptions::default());
+        let clustered = SlicerOptions {
+            cluster: true,
+            ..SlicerOptions::default()
+        };
+        let session = SliceSession::collect(Arc::clone(&program), &rec.pinball, clustered);
         let failure = session.failure_record().expect("trace non-empty");
         assert!(
             matches!(failure.instr, minivm::Instr::Assert { .. }),
@@ -661,6 +525,16 @@ mod failure_record_tests {
         assert!(
             after > 0,
             "clustering placed {after} records after the trap"
+        );
+
+        // In retire order the trap is simply the last record.
+        let retired =
+            SliceSession::collect(Arc::clone(&program), &rec.pinball, SlicerOptions::default());
+        let last = retired.failure_record().expect("trace non-empty");
+        assert_eq!(last.id, failure.id);
+        assert_eq!(
+            retired.trace().position(last.id),
+            Some(retired.trace().records().len() - 1)
         );
     }
 }

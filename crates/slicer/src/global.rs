@@ -12,45 +12,45 @@
 //!   pinball, as it is needed for replay");
 //! * **spawn order** — a `spawn` precedes every record of the child thread.
 //!
-//! The merge is a Kahn topological sort that greedily stays on the current
-//! thread — the paper's clustering trick ("we always try to cluster traces
-//! for each thread to the extent possible to improve the locality of \[the\]
-//! LP algorithm").
+//! The replay retires instructions one at a time in an order that already
+//! honours all three, so the production trace is the collected records as
+//! they are: record ids are the retire sequence `0..n`, and an id is its
+//! own position. Building such a trace costs one pass for the per-key
+//! definition index and the id → position map.
 //!
-//! The result is segmented into fixed-size blocks, each summarising the set
-//! of locations it defines — the block summaries the Limited Preprocessing
-//! traversal uses to skip irrelevant blocks (Zhang et al., paper §3 step
-//! iii).
+//! Clustering is optional (`cluster = true`): a Kahn topological sort that
+//! greedily stays on the current thread — the paper's trick for LP
+//! locality ("we always try to cluster traces for each thread to the
+//! extent possible to improve the locality of \[the\] LP algorithm"). It
+//! serves the LP reference traversal and the §3 ablation; the slices are
+//! the same either way.
+//!
+//! The LP traversal also needs the trace segmented into fixed-size
+//! blocks, each summarising the set of locations it defines (Zhang et
+//! al.'s Limited Preprocessing, paper §3 step iii). Those summaries are
+//! built on the first [`GlobalTrace::blocks`] call, so a trace that is
+//! only ever sliced through the dependence index never pays for them.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use minivm::Tid;
 
-use crate::trace::{LocKey, RecordId, TraceRecord};
+use crate::trace::{IdPositions, LocKey, RecordId, TraceRecord};
 
 /// Default LP block size (records per block).
 pub const DEFAULT_BLOCK_SIZE: usize = 1024;
-
-/// Traces below this many records are summarized serially — thread spawn
-/// overhead dominates for small traces.
-pub const PAR_SUMMARY_THRESHOLD: usize = 16_384;
-
-/// Upper bound on summary workers (beyond this the atomic work queue is the
-/// bottleneck, not the scanning).
-const MAX_SUMMARY_WORKERS: usize = 16;
 
 /// Timings from one [`GlobalTrace`] build, for the pipeline metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildMetrics {
     /// Wall time of the topological cluster merge (zero with clustering
-    /// off).
+    /// off: no merge runs).
     pub merge_wall: Duration,
-    /// Wall time of block summarization + definition indexing.
+    /// Wall time of the id → position map plus the per-key definition
+    /// index.
     pub summarize_wall: Duration,
-    /// Workers used for summarization (1 = serial).
-    pub summary_workers: usize,
 }
 
 /// Summary of one LP block.
@@ -65,35 +65,35 @@ pub struct BlockSummary {
     pub defs: HashSet<LocKey>,
 }
 
-/// The fully ordered multi-threaded trace, with LP block summaries.
+/// The fully ordered multi-threaded trace, with its per-key definition
+/// index and (on demand) LP block summaries.
 #[derive(Debug)]
 pub struct GlobalTrace {
     records: Vec<TraceRecord>,
-    /// record id -> position in `records`.
-    pos_of: HashMap<RecordId, usize>,
-    blocks: Vec<BlockSummary>,
+    /// record id -> position in `records` (the identity in retire order).
+    pos_of: IdPositions,
+    /// LP block summaries, built on first use.
+    blocks: OnceLock<Vec<BlockSummary>>,
     block_size: usize,
-    /// location key -> ascending positions of its definitions. Precomputed
-    /// alongside the block summaries, this lets the sparse traversal jump
-    /// straight to a live key's reaching definition instead of scanning.
+    /// location key -> ascending positions of its definitions. The
+    /// dependence index and the sparse traversal jump through it straight
+    /// to a live key's reaching definition instead of scanning.
     def_index: HashMap<LocKey, Vec<usize>>,
     track_sp: bool,
 }
 
 impl GlobalTrace {
-    /// Builds the global trace from records in *collection order* (which is
-    /// the replay interleaving: one valid topological order). The records
-    /// are re-ordered by the clustering merge, then segmented into blocks of
-    /// `block_size`.
+    /// Builds the clustered global trace from records in *collection
+    /// order* (the replay interleaving: one valid topological order),
+    /// segmented into blocks of `block_size`.
     pub fn build(collected: Vec<TraceRecord>, block_size: usize, track_sp: bool) -> GlobalTrace {
         GlobalTrace::build_with(collected, block_size, track_sp, true)
     }
 
-    /// Like [`GlobalTrace::build`], with clustering controllable — the
-    /// ablation of the paper's §3 locality trick ("we always try to cluster
-    /// traces for each thread to the extent possible to improve the
-    /// locality of \[the\] LP algorithm"). With `cluster` off, the trace
-    /// keeps the raw replay interleaving (still a valid topological order).
+    /// Like [`GlobalTrace::build`], with clustering controllable. With
+    /// `cluster` off the trace keeps the collected records as they are —
+    /// the replay's retire order, the production layout — and takes
+    /// ownership of the vector without copying it.
     pub fn build_with(
         collected: Vec<TraceRecord>,
         block_size: usize,
@@ -112,38 +112,29 @@ impl GlobalTrace {
         cluster: bool,
     ) -> (GlobalTrace, BuildMetrics) {
         assert!(block_size > 0, "block size must be positive");
-        let merge_start = Instant::now();
-        let order: Vec<usize> = if cluster {
-            cluster_merge(&collected, track_sp)
+        let mut metrics = BuildMetrics::default();
+        let records = if cluster {
+            let merge_start = Instant::now();
+            let order = cluster_merge(&collected, track_sp);
+            let records = order.into_iter().map(|i| collected[i]).collect();
+            metrics.merge_wall = merge_start.elapsed();
+            records
         } else {
-            (0..collected.len()).collect()
+            collected
         };
-        let records: Vec<TraceRecord> = order.into_iter().map(|i| collected[i]).collect();
-        let mut pos_of = HashMap::with_capacity(records.len());
-        for (pos, r) in records.iter().enumerate() {
-            pos_of.insert(r.id, pos);
-        }
-        let merge_wall = merge_start.elapsed();
 
         let summarize_start = Instant::now();
-        let (blocks, def_index, summary_workers) = build_summaries(&records, block_size, track_sp);
-        let summarize_wall = summarize_start.elapsed();
-
-        (
-            GlobalTrace {
-                records,
-                pos_of,
-                blocks,
-                block_size,
-                def_index,
-                track_sp,
-            },
-            BuildMetrics {
-                merge_wall,
-                summarize_wall,
-                summary_workers,
-            },
-        )
+        let mut trace = GlobalTrace {
+            records,
+            pos_of: IdPositions::default(),
+            blocks: OnceLock::new(),
+            block_size,
+            def_index: HashMap::new(),
+            track_sp,
+        };
+        trace.index_from(0);
+        metrics.summarize_wall = summarize_start.elapsed();
+        (trace, metrics)
     }
 
     /// Appends `new_records` to the trace without disturbing the positions
@@ -154,46 +145,43 @@ impl GlobalTrace {
     /// batch [`GlobalTrace::build_with`] of the full record list only when
     /// clustering is off (`cluster = false` keeps the raw interleaving,
     /// which appending preserves; the clustering merge may interleave new
-    /// records among old positions). Block summaries are re-derived for
-    /// the trailing partial block plus the new records, and the per-key
-    /// definition index grows in place — both byte-identical to a batch
-    /// build of the concatenation.
+    /// records among old positions). The id map and the per-key definition
+    /// index grow by the suffix only. Block summaries, if already built,
+    /// are re-derived for the trailing partial block plus the new records.
+    /// Both stay identical to a batch build of the concatenation.
     pub fn extend(&mut self, new_records: Vec<TraceRecord>) {
         if new_records.is_empty() {
             return;
         }
         let old_n = self.records.len();
-        for (i, r) in new_records.iter().enumerate() {
-            let prev = self.pos_of.insert(r.id, old_n + i);
-            debug_assert!(prev.is_none(), "appended record id already in the trace");
-        }
         self.records.extend(new_records);
+        self.index_from(old_n);
+    }
 
-        // The batch build pushes (key, position) pairs in block order, and
-        // blocks in position order — so per-key position lists grow exactly
-        // as an in-order append does.
-        for pos in old_n..self.records.len() {
-            for (k, _) in self.records[pos].def_keys(self.track_sp) {
+    /// Indexes the records at positions `from..`: id map, per-key
+    /// definition lists and, when they exist, the block summaries from the
+    /// block holding `from` on.
+    fn index_from(&mut self, from: usize) {
+        self.pos_of.reserve(self.records.len());
+        // Positions are visited in order, so per-key position lists grow
+        // ascending, exactly as a batch build pushes them.
+        for (pos, r) in self.records.iter().enumerate().skip(from) {
+            self.pos_of.insert(r.id, pos);
+            for (k, _) in r.def_keys(self.track_sp) {
                 self.def_index.entry(k).or_default().push(pos);
             }
         }
-
-        // Re-summarize from the start of the trailing partial block (its
-        // summary covers new records now); full blocks before it are
-        // untouched.
-        let resummarize_from = old_n - (old_n % self.block_size);
-        self.blocks.truncate(resummarize_from / self.block_size);
-        let mut start = resummarize_from;
-        while start < self.records.len() {
-            let end = (start + self.block_size).min(self.records.len());
-            let mut defs = HashSet::new();
-            for r in &self.records[start..end] {
-                for (k, _) in r.def_keys(self.track_sp) {
-                    defs.insert(k);
-                }
-            }
-            self.blocks.push(BlockSummary { start, end, defs });
-            start = end;
+        if let Some(blocks) = self.blocks.get_mut() {
+            // The trailing partial block's summary covers new records now;
+            // full blocks before it are untouched.
+            let first = from / self.block_size;
+            blocks.truncate(first);
+            blocks.extend(summarize_blocks(
+                &self.records,
+                first * self.block_size,
+                self.block_size,
+                self.track_sp,
+            ));
         }
     }
 
@@ -202,14 +190,23 @@ impl GlobalTrace {
         self.track_sp
     }
 
-    /// The records in global (clustered topological) order.
+    /// The records in global order (retire order, or clustered
+    /// topological order for a clustered build).
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
 
-    /// The LP block summaries, in position order.
+    /// The LP block summaries, in position order. The first call builds
+    /// them.
     pub fn blocks(&self) -> &[BlockSummary] {
-        &self.blocks
+        self.blocks
+            .get_or_init(|| summarize_blocks(&self.records, 0, self.block_size, self.track_sp))
+    }
+
+    /// Whether the LP block summaries have been built yet.
+    #[cfg(test)]
+    pub(crate) fn blocks_built(&self) -> bool {
+        self.blocks.get().is_some()
     }
 
     /// The block size the trace was segmented with (block of position `p`
@@ -224,9 +221,10 @@ impl GlobalTrace {
         self.def_index.get(key).map_or(&[], Vec::as_slice)
     }
 
-    /// Position of a record id in the global order.
+    /// Position of a record id in the global order, or `None` when the
+    /// trace holds no such record.
     pub fn position(&self, id: RecordId) -> Option<usize> {
-        self.pos_of.get(&id).copied()
+        self.pos_of.get(id)
     }
 
     /// The record with the given id.
@@ -241,103 +239,25 @@ impl GlobalTrace {
     }
 }
 
-/// Builds the LP block summaries and the per-key definition index over
-/// disjoint block ranges, in parallel for large traces.
-///
-/// Workers claim block indices from a shared atomic counter (work
-/// stealing: a worker stalled on a summary-heavy block does not hold the
-/// rest of the range hostage). Per-block results are merged in block-index
-/// order, so the output is byte-for-byte independent of the worker count —
-/// the serial path and every parallel schedule produce identical summaries
-/// and indices.
-#[allow(clippy::type_complexity)]
-fn build_summaries(
+/// Summarises the blocks of `records` starting at position `from` (a
+/// multiple of `block_size`) through the end.
+fn summarize_blocks(
     records: &[TraceRecord],
+    from: usize,
     block_size: usize,
     track_sp: bool,
-) -> (Vec<BlockSummary>, HashMap<LocKey, Vec<usize>>, usize) {
-    let n_blocks = records.len().div_ceil(block_size);
-    let workers = if records.len() >= PAR_SUMMARY_THRESHOLD {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .clamp(1, n_blocks.clamp(1, MAX_SUMMARY_WORKERS))
-    } else {
-        1
-    };
-    build_summaries_with(records, block_size, track_sp, workers)
-}
-
-/// [`build_summaries`] with an explicit worker count (exposed to the
-/// determinism tests).
-#[allow(clippy::type_complexity)]
-fn build_summaries_with(
-    records: &[TraceRecord],
-    block_size: usize,
-    track_sp: bool,
-    workers: usize,
-) -> (Vec<BlockSummary>, HashMap<LocKey, Vec<usize>>, usize) {
-    let n_blocks = records.len().div_ceil(block_size);
-
-    let summarize_block = |b: usize| {
-        let start = b * block_size;
-        let end = (start + block_size).min(records.len());
-        let mut defs = HashSet::new();
-        let mut def_positions: Vec<(LocKey, usize)> = Vec::new();
-        for (pos, r) in records[start..end].iter().enumerate() {
-            for (k, _) in r.def_keys(track_sp) {
-                defs.insert(k);
-                def_positions.push((k, start + pos));
-            }
-        }
-        (BlockSummary { start, end, defs }, def_positions)
-    };
-
-    let mut per_block: Vec<Option<(BlockSummary, Vec<(LocKey, usize)>)>> =
-        (0..n_blocks).map(|_| None).collect();
-    if workers <= 1 {
-        for (b, slot) in per_block.iter_mut().enumerate() {
-            *slot = Some(summarize_block(b));
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let partials = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= n_blocks {
-                                break;
-                            }
-                            mine.push((b, summarize_block(b)));
-                        }
-                        mine
-                    })
-                })
+) -> Vec<BlockSummary> {
+    (from..records.len())
+        .step_by(block_size)
+        .map(|start| {
+            let end = (start + block_size).min(records.len());
+            let defs = records[start..end]
+                .iter()
+                .flat_map(|r| r.def_keys(track_sp).map(|(k, _)| k))
                 .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("summary worker panicked"))
-                .collect::<Vec<_>>()
-        });
-        for (b, result) in partials {
-            per_block[b] = Some(result);
-        }
-    }
-
-    let mut blocks = Vec::with_capacity(n_blocks);
-    let mut def_index: HashMap<LocKey, Vec<usize>> = HashMap::new();
-    // Merging in block order keeps every per-key position list ascending.
-    for slot in per_block {
-        let (summary, defs_at) = slot.expect("every block summarized");
-        blocks.push(summary);
-        for (k, pos) in defs_at {
-            def_index.entry(k).or_default().push(pos);
-        }
-    }
-    (blocks, def_index, workers)
+            BlockSummary { start, end, defs }
+        })
+        .collect()
 }
 
 /// Computes the clustered topological order; returns indices into
@@ -663,30 +583,39 @@ mod tests {
     }
 
     #[test]
-    fn parallel_summaries_match_serial() {
-        // Big single-thread trace; defs rotate over a few keys so blocks
-        // and the index have real content.
-        let collected: Vec<TraceRecord> = (0..5000)
-            .map(|i| {
-                let def = match i % 3 {
-                    0 => (Loc::Reg(Reg((i % 7) as u8 + 1)), i as i64),
-                    1 => (Loc::Mem(0x1000 + (i % 11) as u64 * 8), i as i64),
-                    _ => (Loc::Reg(Reg(9)), i as i64),
-                };
-                rec(i as RecordId, 0, &[], &[def])
-            })
+    fn block_summaries_are_built_on_first_use() {
+        let collected: Vec<TraceRecord> = (0..100)
+            .map(|i| rec(i, 0, &[], &[(Loc::Reg(Reg((i % 7) as u8 + 1)), i as i64)]))
             .collect();
-        let (serial_blocks, serial_index, _) = build_summaries_with(&collected, 64, false, 1);
-        let (par_blocks, par_index, _) = build_summaries_with(&collected, 64, false, 4);
-        assert_eq!(serial_blocks.len(), par_blocks.len());
-        for (a, b) in serial_blocks.iter().zip(&par_blocks) {
-            assert_eq!((a.start, a.end), (b.start, b.end));
-            assert_eq!(a.defs, b.defs);
+        let gt = GlobalTrace::build_with(collected, 16, false, false);
+        assert!(!gt.blocks_built(), "a build leaves the LP summaries alone");
+        assert_eq!(gt.def_positions(&LocKey::Reg(0, Reg(1))).len(), 15);
+        assert_eq!(gt.blocks().len(), 7);
+        assert!(gt.blocks_built());
+        assert_eq!(
+            gt.blocks()[6],
+            BlockSummary {
+                start: 96,
+                end: 100,
+                defs: [1, 2, 6, 7]
+                    .into_iter()
+                    .map(|r| LocKey::Reg(0, Reg(r)))
+                    .collect(),
+            }
+        );
+    }
+
+    #[test]
+    fn retire_order_positions_are_ids() {
+        let collected: Vec<TraceRecord> = (0..10).map(|i| rec(i, i as Tid % 2, &[], &[])).collect();
+        let gt = GlobalTrace::build_with(collected, 4, false, false);
+        for (pos, r) in gt.records().iter().enumerate() {
+            assert_eq!(r.id, pos as RecordId);
+            assert_eq!(gt.position(r.id), Some(pos));
         }
-        assert_eq!(serial_index, par_index);
-        for positions in par_index.values() {
-            assert!(positions.windows(2).all(|w| w[0] < w[1]));
-        }
+        assert_eq!(gt.position(10), None);
+        assert_eq!(gt.position(u64::MAX), None);
+        assert!(gt.record(u64::MAX).is_none());
     }
 
     #[test]
@@ -711,9 +640,18 @@ mod tests {
             })
             .collect();
         // Awkward split points: straddle block boundaries (block size 32).
-        for split in [0usize, 1, 31, 32, 33, 150, 299, 300] {
+        // Summaries built before the extend are patched in place; ones
+        // first asked for afterwards are built over the whole trace.
+        for (split, summarize_first) in [0usize, 1, 31, 32, 33, 150, 299, 300]
+            .into_iter()
+            .flat_map(|split| [(split, false), (split, true)])
+        {
             let mut grown = GlobalTrace::build_with(collected[..split].to_vec(), 32, false, false);
+            if summarize_first {
+                grown.blocks();
+            }
             grown.extend(collected[split..].to_vec());
+            assert_eq!(grown.blocks_built(), summarize_first);
             let batch = GlobalTrace::build_with(collected.clone(), 32, false, false);
             assert_eq!(grown.records(), batch.records());
             assert_eq!(grown.blocks(), batch.blocks());
@@ -729,8 +667,14 @@ mod tests {
     #[test]
     fn build_metrics_report_stage_walls() {
         let collected = vec![rec(0, 0, &[], &[(Loc::Reg(Reg(1)), 1)])];
-        let (gt, metrics) = GlobalTrace::build_instrumented(collected, 16, false, true);
+        let (gt, metrics) = GlobalTrace::build_instrumented(collected.clone(), 16, false, false);
         assert_eq!(gt.records().len(), 1);
-        assert_eq!(metrics.summary_workers, 1, "tiny trace summarized serially");
+        assert_eq!(
+            metrics.merge_wall,
+            Duration::ZERO,
+            "no merge without clustering"
+        );
+        let (gt, _) = GlobalTrace::build_instrumented(collected, 16, false, true);
+        assert_eq!(gt.records().len(), 1);
     }
 }

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use crate::global::GlobalTrace;
 use crate::slice::{Criterion, DataEdge, Slice, SliceOptions, SliceStats};
-use crate::trace::{LocKey, RecordId};
+use crate::trace::{IdPositions, LocKey, RecordId};
 
 /// Sentinel for "no position" in the u32-packed arrays.
 const NONE: u32 = u32::MAX;
@@ -78,8 +78,9 @@ pub struct IndexBuildStats {
 pub struct DepIndex {
     /// Position -> record id, in global trace order.
     record_ids: Vec<RecordId>,
-    /// Record id -> position (the query-time criterion lookup).
-    pos_of: HashMap<RecordId, u32>,
+    /// Record id -> position (the query-time criterion lookup); the
+    /// identity for a trace in retire order.
+    pos_of: IdPositions,
     /// Position -> position of the record's dynamic control parent
     /// ([`NONE`] when absent or not in the trace).
     cd_parent_pos: Vec<u32>,
@@ -144,11 +145,12 @@ impl DepIndex {
         let mut keys: Vec<LocKey> = Vec::new();
         let mut key_ids: HashMap<LocKey, u32> = HashMap::new();
         let mut record_ids = Vec::with_capacity(n);
-        let mut pos_of = HashMap::with_capacity(n);
+        let mut pos_of = IdPositions::default();
+        pos_of.reserve(n);
         let mut cd_parent_pos = Vec::with_capacity(n);
         for (pos, r) in records.iter().enumerate() {
             record_ids.push(r.id);
-            pos_of.insert(r.id, pos as u32);
+            pos_of.insert(r.id, pos);
             for (k, _) in r.def_keys(track_sp).chain(r.use_keys(track_sp)) {
                 key_ids.entry(k).or_insert_with(|| {
                     keys.push(k);
@@ -410,7 +412,7 @@ impl DepIndex {
         for (pos, r) in records[old_n..].iter().enumerate() {
             let pos = old_n + pos;
             self.record_ids.push(r.id);
-            self.pos_of.insert(r.id, pos as u32);
+            self.pos_of.insert(r.id, pos);
             for (k, _) in r.def_keys(track_sp).chain(r.use_keys(track_sp)) {
                 self.key_ids.entry(k).or_insert_with(|| {
                     self.keys.push(k);
@@ -653,7 +655,7 @@ impl DepIndex {
     /// the trace has no such record — what a caller checks before handing
     /// an untrusted criterion to [`compute_slice_indexed`].
     pub fn position(&self, id: RecordId) -> Option<usize> {
-        self.pos_of.get(&id).map(|&p| p as usize)
+        self.pos_of.get(id)
     }
 
     /// Number of records the index covers.
@@ -678,7 +680,7 @@ impl DepIndex {
     }
 
     /// Approximate resident size of the index in bytes (flat arrays plus
-    /// an estimate for the two hash maps) — what the server's index cache
+    /// an estimate for the key map) — what the server's index cache
     /// accounts against its budget.
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
@@ -692,9 +694,9 @@ impl DepIndex {
             + self.key_def_offsets.len() * size_of::<u32>()
             + self.key_defs.len() * size_of::<u32>()
             + self.key_resolved.len() * size_of::<u32>()
-            + self.key_hops.len() * size_of::<u32>();
-        let maps = self.pos_of.len() * (size_of::<RecordId>() + size_of::<u32>() + 8)
-            + self.key_ids.len() * (size_of::<LocKey>() + size_of::<u32>() + 8);
+            + self.key_hops.len() * size_of::<u32>()
+            + self.pos_of.slots() * size_of::<u32>();
+        let maps = self.key_ids.len() * (size_of::<LocKey>() + size_of::<u32>() + 8);
         (flat + maps) as u64
     }
 }

@@ -3,14 +3,15 @@
 //! The primary contribution of the DrDebug paper (CGO 2014), reproduced over
 //! the mini-VM substrate:
 //!
-//! * [`collect`] — replays a region pinball and gathers per-thread def/use
-//!   traces (paper §3 step i), merging them into a fully ordered
-//!   [`global::GlobalTrace`] that honours program order and
-//!   shared-memory access order (step ii), with thread clustering for LP
-//!   locality;
+//! * [`collect`] — replays a region pinball and gathers def/use records
+//!   on the replaying thread (paper §3 step i). Their retire order
+//!   already honours program order and shared-memory access order
+//!   (step ii), so it is the fully ordered [`global::GlobalTrace`] as it
+//!   stands; thread clustering for LP locality is built only on request;
 //! * [`slice`](mod@slice) — backward traversal of the global trace with Limited
-//!   Preprocessing block skipping (step iii), producing the dynamic
-//!   dependence graph the DrDebug GUI lets users navigate;
+//!   Preprocessing block skipping (step iii; the block summaries are built
+//!   on first use), producing the dynamic dependence graph the DrDebug GUI
+//!   lets users navigate;
 //! * [`index`] — the reusable dependence index: the full dependence graph
 //!   built once per `(GlobalTrace, SliceOptions)`, answering every
 //!   subsequent slice criterion with a pure BFS (the cyclic-debugging hot

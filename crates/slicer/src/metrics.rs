@@ -1,13 +1,14 @@
-//! Pipeline stage metrics for the parallel slicing pipeline.
+//! Pipeline stage metrics for the slicing pipeline.
 //!
 //! The slicing pipeline has four stages — *collect* (replay the region
-//! pinball, gathering per-thread def/use traces), *merge* (the topological
-//! cluster merge into the global trace), *summarize* (LP block summaries
-//! plus the per-key definition index), and *traverse* (one backward slice
-//! query). [`SliceMetrics`] carries per-stage wall time and work counters
-//! through `collect → global → slice` so the debugger's `metrics` command
-//! and `drdebug_cli` can report where time went and how much work the LP
-//! skipping and save/restore pruning avoided.
+//! pinball, gathering def/use records in retire order), *merge* (the
+//! topological cluster merge, which runs only for a clustered trace),
+//! *summarize* (the id → position map plus the per-key definition index),
+//! and *traverse* (one backward slice query). [`SliceMetrics`] carries
+//! per-stage wall time and work counters through `collect → global →
+//! slice` so the debugger's `metrics` command and `drdebug_cli` can report
+//! where time went and how much work the LP skipping and save/restore
+//! pruning avoided.
 
 use std::fmt;
 use std::time::Duration;
@@ -37,12 +38,13 @@ impl StageMetrics {
 /// (each query returns its own [`SliceStats`](crate::SliceStats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SliceMetrics {
-    /// Replay + per-thread def/use trace collection.
+    /// Replay + def/use record collection.
     pub collect: StageMetrics,
-    /// Topological merge into the global trace (plus the id-order restore
-    /// after parallel collection).
+    /// Topological cluster merge into the global trace (zero wall time
+    /// when the trace keeps the retire order and no merge runs).
     pub merge: StageMetrics,
-    /// LP block summaries and the per-key definition index.
+    /// The id → position map and the per-key definition index (LP block
+    /// summaries are built on demand, outside this stage).
     pub summarize: StageMetrics,
     /// Dependence-index construction for the most recent slice (zero when
     /// the query was answered from a warm index — the build cost is paid at
@@ -53,10 +55,6 @@ pub struct SliceMetrics {
     pub warm_index: bool,
     /// The most recent backward traversal (zero until a slice is computed).
     pub traverse: StageMetrics,
-    /// Collector threads used (1 = serial collection).
-    pub collector_threads: usize,
-    /// Workers used for block summaries (1 = serial summarization).
-    pub summary_workers: usize,
     /// Blocks scanned record by record in the last traversal.
     pub blocks_visited: usize,
     /// Blocks skipped via summaries in the last traversal.
@@ -95,8 +93,8 @@ impl fmt::Display for SliceMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "collect    {:>12?}  {:>10} records  {} collector thread(s)",
-            self.collect.wall, self.collect.records, self.collector_threads
+            "collect    {:>12?}  {:>10} records",
+            self.collect.wall, self.collect.records
         )?;
         writeln!(
             f,
@@ -105,8 +103,8 @@ impl fmt::Display for SliceMetrics {
         )?;
         writeln!(
             f,
-            "summarize  {:>12?}  {:>10} records  {} worker(s)",
-            self.summarize.wall, self.summarize.records, self.summary_workers
+            "summarize  {:>12?}  {:>10} records",
+            self.summarize.wall, self.summarize.records
         )?;
         writeln!(
             f,
@@ -141,8 +139,6 @@ mod tests {
     fn traversal_stats_fold_in() {
         let base = SliceMetrics {
             collect: StageMetrics::new(Duration::from_millis(5), 100),
-            collector_threads: 2,
-            summary_workers: 1,
             ..SliceMetrics::default()
         };
         let stats = SliceStats {

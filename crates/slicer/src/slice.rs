@@ -168,8 +168,8 @@ pub struct SliceOptions {
     /// (configuration reads, loop counters) while investigating.
     pub prune_keys: std::collections::HashSet<LocKey>,
     /// Minimum trace length for [`compute_slice`] to take the sparse
-    /// index-guided path (built by the parallel pipeline's summarize
-    /// stage); below it the serial LP block scan runs. `usize::MAX` forces
+    /// index-guided path (over the trace's per-key definition index);
+    /// below it the serial LP block scan runs. `usize::MAX` forces
     /// LP, `0` forces sparse. Both paths produce identical slices.
     pub parallel_threshold: usize,
 }
@@ -501,10 +501,8 @@ pub fn compute_slice_lp(
 /// at*, in the same descending order, so the live/needed/deferred state
 /// evolves identically and the slice is identical — but the work is
 /// O(slice-related positions · log), independent of the trace length the
-/// LP scan must sweep block summaries over. This is what makes repeated
-/// slice queries cheap after one parallel pipeline build, and it is the
-/// "parallel path" the differential tests pin against the serial LP
-/// result.
+/// LP scan must sweep block summaries over. The differential tests pin
+/// it against the serial LP result.
 ///
 /// Stale heap candidates (a key resolved earlier than a queued candidate)
 /// pop as no-ops, exactly like the LP scan passing an irrelevant record.

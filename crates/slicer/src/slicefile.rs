@@ -81,7 +81,9 @@ impl SliceFile {
                 })
             })
             .collect();
-        statements.sort_by_key(|s| trace.position(s.id));
+        // Execution order is id order (ids are the retire sequence), in
+        // whatever layout the trace keeps.
+        statements.sort_unstable_by_key(|s| s.id);
         SliceFile {
             program: program_name.to_owned(),
             criterion: slice.criterion,

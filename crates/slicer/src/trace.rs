@@ -97,6 +97,53 @@ impl TraceRecord {
     }
 }
 
+/// Record id → trace position, as a flat array indexed by id.
+///
+/// Record ids are a region's retire sequence `0..n`, so the map is dense;
+/// for a trace kept in retire order it is the identity. Lookups are
+/// bounds-checked: an id the trace never held (say `u64::MAX` from a
+/// client) maps to `None`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct IdPositions(Vec<u32>);
+
+/// Slot value of an id with no position.
+const ABSENT: u32 = u32::MAX;
+
+impl IdPositions {
+    /// Reserves room for ids below `n`.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.0.reserve(n.saturating_sub(self.0.len()));
+    }
+
+    /// Maps `id` to `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos` does not fit the u32 packing.
+    pub(crate) fn insert(&mut self, id: RecordId, pos: usize) {
+        let slot = usize::try_from(id).expect("record id fits usize");
+        if slot >= self.0.len() {
+            self.0.resize(slot + 1, ABSENT);
+        }
+        debug_assert_eq!(self.0[slot], ABSENT, "record id {id} mapped twice");
+        self.0[slot] = u32::try_from(pos)
+            .ok()
+            .filter(|&p| p != ABSENT)
+            .expect("trace position fits u32");
+    }
+
+    /// The position of `id`, or `None` when the trace has no such record.
+    pub(crate) fn get(&self, id: RecordId) -> Option<usize> {
+        let &pos = self.0.get(usize::try_from(id).ok()?)?;
+        (pos != ABSENT).then_some(pos as usize)
+    }
+
+    /// Slots held (the largest mapped id plus one).
+    pub(crate) fn slots(&self) -> usize {
+        self.0.len()
+    }
+}
+
 fn qualify(tid: Tid, locs: LocVals, track_sp: bool) -> impl Iterator<Item = (LocKey, i64)> {
     locs.into_iter().filter_map(move |(loc, v)| match loc {
         Loc::Reg(r) if r == Reg::SP && !track_sp => None,
@@ -149,6 +196,19 @@ mod tests {
         let defs: Vec<_> = r.def_keys(false).collect();
         assert!(defs.contains(&(LocKey::Reg(4, Reg(0)), 42)));
         assert!(defs.contains(&(LocKey::Reg(0, Reg(2)), 1)));
+    }
+
+    #[test]
+    fn id_positions_are_bounds_checked() {
+        let mut map = IdPositions::default();
+        map.insert(0, 2);
+        map.insert(2, 0);
+        assert_eq!(map.get(0), Some(2));
+        assert_eq!(map.get(1), None, "gap between mapped ids");
+        assert_eq!(map.get(2), Some(0));
+        assert_eq!(map.get(3), None);
+        assert_eq!(map.get(u64::MAX), None);
+        assert_eq!(map.slots(), 3);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!    of instructions and reproduces the live run's output;
 //! 3. **Global-trace validity** — the clustered merge is a topological
 //!    order of program order, conflict order, and spawn order;
-//! 4. **LP ≡ naive** — block skipping never changes the slice;
-//! 5. **Slice faithfulness** — replaying only the slice reproduces the
+//! 4. **LP ≡ naive** — block skipping never changes the slice, in retire
+//!    order or clustered;
+//! 5. **Order independence** — the retire-order trace and the clustered
+//!    one give byte-identical slice files;
+//! 6. **Slice faithfulness** — replaying only the slice reproduces the
 //!    criterion's value.
 
 use std::sync::Arc;
@@ -248,7 +251,7 @@ proptest! {
         let session = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
-            SlicerOptions { block_size: 64, ..SlicerOptions::default() },
+            SlicerOptions { block_size: 64, cluster: true, ..SlicerOptions::default() },
         );
         // Reconstruct collection order (ids ascend with retire order).
         let mut by_id: Vec<_> = session.trace().records().to_vec();
@@ -272,30 +275,32 @@ proptest! {
             1_000_000,
             "prop",
         ).expect("records");
-        let session = SliceSession::collect(
-            Arc::clone(&program),
-            &rec.pinball,
-            SlicerOptions { block_size: 32, ..SlicerOptions::default() },
-        );
-        // Slice at the last few records with both traversals.
-        let ids: Vec<u64> = session
-            .trace()
-            .records()
-            .iter()
-            .map(|r| r.id)
-            .collect();
-        for &id in ids.iter().rev().take(3) {
-            let criterion = Criterion::Record { id };
-            let lp = compute_slice(session.trace(), criterion, session.pairs(), SliceOptions::default());
-            let naive = compute_slice_naive(session.trace(), criterion, session.pairs(), SliceOptions::default());
-            prop_assert_eq!(&lp.records, &naive.records, "same slice membership");
-            prop_assert_eq!(&lp.data_edges, &naive.data_edges, "same data edges");
-            prop_assert_eq!(&lp.control_edges, &naive.control_edges, "same control edges");
+        for cluster in [false, true] {
+            let session = SliceSession::collect(
+                Arc::clone(&program),
+                &rec.pinball,
+                SlicerOptions { block_size: 32, cluster, ..SlicerOptions::default() },
+            );
+            // Slice at the last few records with both traversals.
+            let ids: Vec<u64> = session
+                .trace()
+                .records()
+                .iter()
+                .map(|r| r.id)
+                .collect();
+            for &id in ids.iter().rev().take(3) {
+                let criterion = Criterion::Record { id };
+                let lp = compute_slice(session.trace(), criterion, session.pairs(), SliceOptions::default());
+                let naive = compute_slice_naive(session.trace(), criterion, session.pairs(), SliceOptions::default());
+                prop_assert_eq!(&lp.records, &naive.records, "same slice membership");
+                prop_assert_eq!(&lp.data_edges, &naive.data_edges, "same data edges");
+                prop_assert_eq!(&lp.control_edges, &naive.control_edges, "same control edges");
+            }
         }
     }
 
     #[test]
-    fn parallel_pipeline_slice_files_are_byte_identical((bodies, sched_seed, env_seed) in scenario()) {
+    fn retire_order_slice_files_match_clustered((bodies, sched_seed, env_seed) in scenario()) {
         let program = build_program(&bodies);
         let rec = record_whole_program(
             &program,
@@ -305,31 +310,38 @@ proptest! {
             "prop",
         ).expect("records");
 
-        // Serial baseline vs the fully parallel pipeline: sharded streaming
-        // collection, parallel block summaries, sparse traversal.
-        let serial = SliceSession::collect(
+        // The production layout (retire order) vs the clustered trace the
+        // LP reference traversal was designed for, each sliced the way a
+        // session slices: sparse traversal from 0 records on for the one,
+        // the LP block scan for the other.
+        let retired = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
-            SlicerOptions { parallel: false, ..SlicerOptions::default() },
+            SlicerOptions { parallel_threshold: 0, ..SlicerOptions::default() },
         );
-        let parallel = SliceSession::collect(
+        let clustered = SliceSession::collect(
             Arc::clone(&program),
             &rec.pinball,
-            SlicerOptions { parallel: true, parallel_threshold: 0, ..SlicerOptions::default() },
+            SlicerOptions { cluster: true, parallel: false, ..SlicerOptions::default() },
         );
 
         let file = |session: &SliceSession, slice: &slicer::Slice| {
             let (exclusions, _) = session.exclusion_regions(slice);
             SliceFile::build("prop", slice, session.trace(), exclusions).to_bytes()
         };
-        let ids: Vec<_> = serial.trace().records().iter().map(|r| r.id).collect();
+        prop_assert_eq!(
+            retired.failure_record().map(|r| r.id),
+            clustered.failure_record().map(|r| r.id),
+            "same failure record"
+        );
+        let ids: Vec<_> = retired.trace().records().iter().map(|r| r.id).collect();
         for &id in ids.iter().rev().take(3) {
             let criterion = Criterion::Record { id };
-            let s = serial.slice(criterion);
-            let p = parallel.slice(criterion);
+            let r = retired.slice(criterion);
+            let c = clustered.slice(criterion);
             prop_assert_eq!(
-                file(&serial, &s),
-                file(&parallel, &p),
+                file(&retired, &r),
+                file(&clustered, &c),
                 "slice files must be byte-identical"
             );
         }
