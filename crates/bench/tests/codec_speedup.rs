@@ -1,5 +1,5 @@
-//! Acceptance gates for the container codecs: on a >=100k-event
-//! four-thread pinball,
+//! Acceptance gates for the container and reply codecs. On a
+//! >=100k-event four-thread pinball,
 //!
 //! - a v3 save + load cycle (binser payloads, parallel chunk pipeline)
 //!   must be at least 3x faster than the v2 cycle (JSON payloads), and
@@ -12,12 +12,25 @@
 //! exactly and the content digest is identical across v2, v3, v4, the
 //! zero-copy view, and the paged (mapped) loader — the digest is a
 //! property of the recording, never of the encoding.
+//!
+//! On a failure slice of more than 10k records, a drserve slice reply
+//! must round-trip exactly and its frame must cost at most
+//! [`REPLY_BYTES_PER_ITEM`] bytes per record, data edge and control edge.
+//! That gate counts bytes, not time.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::exp::{four_thread_needle, ENV_SEED};
+use drserve::{proto, Response, WireSlice, RESPONSE_KIND};
 use minivm::{LiveEnv, RoundRobin};
-use pinplay::{record_whole_program, ContainerView, PinballContainer, DEFAULT_CHECKPOINT_INTERVAL};
+use pinplay::{
+    record_region, record_whole_program, ContainerView, PinballContainer, RegionSpec,
+    DEFAULT_CHECKPOINT_INTERVAL,
+};
+use slicer::{
+    compute_slice_indexed, Criterion, DepIndex, SliceOptions, SliceSession, SlicerOptions,
+};
 
 const ITERS: u64 = 4_500;
 
@@ -121,5 +134,80 @@ fn codec_generations_hold_their_speed_and_size_gates() {
         v3_load >= v4_load * 5,
         "v4 zero-copy load must be >= 5x faster than the v3 decode on \
          {events} events: v3 {v3_load:?} vs v4 {v4_load:?}"
+    );
+}
+
+/// Frame bytes a slice reply may spend per record, data edge and control
+/// edge. The columnar reply measures about 0.6 on the canneal slice below.
+const REPLY_BYTES_PER_ITEM: usize = 2;
+
+#[test]
+fn slice_reply_frame_stays_within_its_byte_budget() {
+    // The canneal analog at the size drbench records it (111.5k retired
+    // instructions over four threads, a region starting a quarter in),
+    // with drbench's schedule and inputs: its failure slice spans most of
+    // the region.
+    let instructions = 111_500u64;
+    let parsec = workloads::all_parsec()
+        .into_iter()
+        .find(|p| p.name == "canneal")
+        .expect("canneal analog exists");
+    let length = instructions / 4;
+    let skip = length / 4;
+    let program = (parsec.build)(workloads::units_for_main_instructions(
+        skip + length * 2 + 1_000,
+    ));
+    let rec = record_region(
+        &program,
+        &mut RoundRobin::new(17),
+        &mut LiveEnv::new(ENV_SEED),
+        RegionSpec::skip_length(skip, length),
+        (skip + length) * 12 + 1_000_000,
+        "reply-gate",
+    )
+    .expect("canneal region records");
+    let session =
+        SliceSession::collect(Arc::clone(&program), &rec.pinball, SlicerOptions::default());
+    let id = session.failure_record().expect("region is not empty").id;
+    let index = DepIndex::build(session.trace(), session.pairs(), &SliceOptions::default());
+    let slice = WireSlice::from_slice(&compute_slice_indexed(&index, Criterion::Record { id }));
+    assert!(
+        slice.records.len() >= 10_000,
+        "need a >= 10k-record failure slice, got {}",
+        slice.records.len()
+    );
+
+    let reply = Response::Slice {
+        slice,
+        cached: false,
+        micros: 0,
+    };
+    let mut frame = Vec::new();
+    proto::write_message(&mut frame, RESPONSE_KIND, &reply).expect("vec write");
+    let Response::Slice { slice, .. } = reply else {
+        unreachable!("built as a slice reply above")
+    };
+    match proto::read_message(&mut &frame[..], RESPONSE_KIND) {
+        Ok(Response::Slice { slice: back, .. }) => {
+            assert!(back == slice, "the slice reply must round-trip exactly")
+        }
+        other => panic!("the slice reply must decode as one: {other:?}"),
+    }
+    let items = slice.records.len() + slice.data_edges.len() + slice.control_edges.len();
+    println!(
+        "canneal failure slice: {} records, {} data edges, {} control edges; \
+         payload {} B, frame {} B ({:.2} B per item)",
+        slice.records.len(),
+        slice.data_edges.len(),
+        slice.control_edges.len(),
+        slice.canonical_bytes().len(),
+        frame.len(),
+        frame.len() as f64 / items as f64
+    );
+    assert!(
+        frame.len() <= REPLY_BYTES_PER_ITEM * items,
+        "slice reply frame of {} bytes exceeds {REPLY_BYTES_PER_ITEM} bytes per \
+         record and edge ({items} items)",
+        frame.len()
     );
 }

@@ -135,7 +135,7 @@ impl SliceCache {
             criterion: criterion.into(),
             options: options_fingerprint,
         };
-        let bytes = slice.canonical_bytes().len() as u64;
+        let bytes = slice.approx_bytes();
         let mut inner = self.inner.lock().expect("cache lock");
         inner.tick += 1;
         let tick = inner.tick;

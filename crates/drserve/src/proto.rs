@@ -29,10 +29,11 @@
 //! ([`ServeError::UnknownSession`]) from damage
 //! ([`ServeError::Pinball`], naming the damaged chunk).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use minivm::{Pc, Program, Tid};
 use pinplay::PinballDigest;
@@ -574,7 +575,18 @@ impl From<drdebug::StopReason> for WireStop {
 /// A dynamic slice in canonical wire form: every collection sorted, so two
 /// computations of the same slice serialize byte-identically regardless of
 /// traversal order or hash-set iteration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// On the wire (and in [`WireSlice::canonical_bytes`]) it travels as
+/// integer columns rather than one tuple per edge: record ids as ascending
+/// deltas, data edges as a user delta, the signed `user - def` difference
+/// and an index into a per-reply table of the distinct [`LocKey`]s, and
+/// control edges as a dependent delta and the signed `dependent - branch`
+/// difference. Decoding rebuilds the fields below and rejects, as a
+/// shape error, any column set [`WireSlice::from_slice`] could not have
+/// produced: columns of different lengths, a key index outside the table,
+/// ids that overflow or underflow `u64`, records that are not strictly
+/// ascending, and edges that are unsorted or duplicated.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSlice {
     /// The criterion the slice was computed for.
     pub criterion: Criterion,
@@ -616,10 +628,21 @@ impl WireSlice {
     /// The canonical byte encoding — what "byte-identical slice results"
     /// means across server and local computation. Uses the same
     /// [`pinzip::binser`] codec as the wire frames; the encoding is
-    /// deterministic (interned strings in first-appearance order, sorted
-    /// collections), so equal slices encode to equal bytes.
+    /// deterministic (sorted collections, key table in first-appearance
+    /// order), so equal slices encode to equal bytes.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         pinzip::binser::to_vec(self)
+    }
+
+    /// Approximate resident size in bytes (the struct plus its three
+    /// vectors) — what the server's slice cache accounts.
+    pub fn approx_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let flat = size_of::<WireSlice>()
+            + self.records.len() * size_of::<RecordId>()
+            + self.data_edges.len() * size_of::<(RecordId, RecordId, LocKey)>()
+            + self.control_edges.len() * size_of::<(RecordId, RecordId)>();
+        flat as u64
     }
 
     /// Number of statement instances in the slice.
@@ -630,6 +653,195 @@ impl WireSlice {
     /// Whether the slice is empty (it never is: the criterion is included).
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+}
+
+/// The columnar shape a [`WireSlice`] is encoded as. Ids are deltas and
+/// differences of neighbouring ids, so they encode as one- or two-byte
+/// varints; the location keys are interned once per reply.
+#[derive(Serialize, Deserialize)]
+struct SliceColumns {
+    criterion: Criterion,
+    /// Record ids, each as the difference from the previous one (the
+    /// first from 0).
+    records: Vec<u64>,
+    /// The distinct data-edge keys, in first-appearance order.
+    keys: Vec<LocKey>,
+    /// Data-edge users, each as the difference from the previous user.
+    data_users: Vec<u64>,
+    /// `user - def` of each data edge.
+    data_defs: Vec<i128>,
+    /// Index into `keys` of each data edge's key.
+    data_keys: Vec<u64>,
+    /// Control-edge dependents, each as the difference from the previous.
+    control_deps: Vec<u64>,
+    /// `dependent - branch` of each control edge.
+    control_branches: Vec<i128>,
+    stats: SliceStats,
+}
+
+/// `id - prev`, wrapping: a sorted column never wraps, and an unsorted one
+/// (a hand-built [`WireSlice`]) encodes to a delta the decoder rejects.
+fn delta(prev: &mut u64, id: u64) -> u64 {
+    let d = id.wrapping_sub(*prev);
+    *prev = id;
+    d
+}
+
+/// The id `delta` after `prev`, or an error when it overflows `u64`.
+fn undelta(prev: u64, delta: u64) -> Result<u64, DeError> {
+    prev.checked_add(delta)
+        .ok_or_else(|| DeError("record id delta overflows u64".into()))
+}
+
+/// `from - diff`, or an error when it leaves the `u64` range.
+fn unoffset(from: u64, diff: i128) -> Result<u64, DeError> {
+    i128::from(from)
+        .checked_sub(diff)
+        .and_then(|id| u64::try_from(id).ok())
+        .ok_or_else(|| DeError(format!("record id {from} - {diff} is outside u64")))
+}
+
+impl SliceColumns {
+    fn of(slice: &WireSlice) -> SliceColumns {
+        let mut prev = 0;
+        let records = slice
+            .records
+            .iter()
+            .map(|&id| delta(&mut prev, id))
+            .collect();
+
+        let n = slice.data_edges.len();
+        let mut keys = Vec::new();
+        let mut key_index: HashMap<LocKey, u64> = HashMap::new();
+        let (mut data_users, mut data_defs, mut data_keys) = (
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+            Vec::with_capacity(n),
+        );
+        let mut prev = 0;
+        for &(user, def, key) in &slice.data_edges {
+            data_users.push(delta(&mut prev, user));
+            data_defs.push(i128::from(user) - i128::from(def));
+            data_keys.push(*key_index.entry(key).or_insert_with(|| {
+                keys.push(key);
+                keys.len() as u64 - 1
+            }));
+        }
+
+        let mut prev = 0;
+        let (control_deps, control_branches) = slice
+            .control_edges
+            .iter()
+            .map(|&(dep, branch)| (delta(&mut prev, dep), i128::from(dep) - i128::from(branch)))
+            .unzip();
+
+        SliceColumns {
+            criterion: slice.criterion,
+            records,
+            keys,
+            data_users,
+            data_defs,
+            data_keys,
+            control_deps,
+            control_branches,
+            stats: slice.stats,
+        }
+    }
+
+    /// Rebuilds the slice, checking every condition `from_slice` output
+    /// meets.
+    fn into_slice(self) -> Result<WireSlice, DeError> {
+        let mut records = Vec::with_capacity(self.records.len());
+        let mut prev = 0;
+        for (i, &d) in self.records.iter().enumerate() {
+            if i > 0 && d == 0 {
+                return Err(DeError(format!("record {i} repeats its predecessor")));
+            }
+            prev = undelta(prev, d)?;
+            records.push(prev);
+        }
+
+        let n = self.data_users.len();
+        if self.data_defs.len() != n || self.data_keys.len() != n {
+            return Err(DeError(format!(
+                "data-edge columns differ in length: {n} users, {} defs, {} keys",
+                self.data_defs.len(),
+                self.data_keys.len()
+            )));
+        }
+        let mut data_edges: Vec<(RecordId, RecordId, LocKey)> = Vec::with_capacity(n);
+        let mut user = 0;
+        let columns = self
+            .data_users
+            .iter()
+            .zip(&self.data_defs)
+            .zip(&self.data_keys);
+        for (i, ((&d, &diff), &k)) in columns.enumerate() {
+            user = undelta(user, d)?;
+            let def = unoffset(user, diff)?;
+            let key = usize::try_from(k)
+                .ok()
+                .and_then(|k| self.keys.get(k))
+                .ok_or_else(|| {
+                    DeError(format!(
+                        "data edge {i} names key {k} of a {}-key table",
+                        self.keys.len()
+                    ))
+                })?;
+            let edge = (user, def, *key);
+            if data_edges.last().is_some_and(|last| *last >= edge) {
+                return Err(DeError(format!(
+                    "data edge {i} is out of order or repeated"
+                )));
+            }
+            data_edges.push(edge);
+        }
+
+        let n = self.control_deps.len();
+        if self.control_branches.len() != n {
+            return Err(DeError(format!(
+                "control-edge columns differ in length: {n} dependents, {} branches",
+                self.control_branches.len()
+            )));
+        }
+        let mut control_edges: Vec<(RecordId, RecordId)> = Vec::with_capacity(n);
+        let mut dep = 0;
+        for (i, (&d, &diff)) in self
+            .control_deps
+            .iter()
+            .zip(&self.control_branches)
+            .enumerate()
+        {
+            dep = undelta(dep, d)?;
+            let edge = (dep, unoffset(dep, diff)?);
+            if control_edges.last().is_some_and(|last| *last >= edge) {
+                return Err(DeError(format!(
+                    "control edge {i} is out of order or repeated"
+                )));
+            }
+            control_edges.push(edge);
+        }
+
+        Ok(WireSlice {
+            criterion: self.criterion,
+            records,
+            data_edges,
+            control_edges,
+            stats: self.stats,
+        })
+    }
+}
+
+impl Serialize for WireSlice {
+    fn to_value(&self) -> Value {
+        SliceColumns::of(self).to_value()
+    }
+}
+
+impl Deserialize for WireSlice {
+    fn from_value(v: &Value) -> Result<WireSlice, DeError> {
+        SliceColumns::from_value(v)?.into_slice()
     }
 }
 
@@ -771,7 +983,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently cached.
     pub entries: u64,
-    /// Canonical bytes currently cached.
+    /// Approximate resident bytes of the cached entries.
     pub bytes: u64,
 }
 
